@@ -35,8 +35,6 @@ from .linalg import (
     as_cmatrix,
     freeze,
     max_abs_diff,
-    partial_trace,
-    tensor,
 )
 
 __all__ = [
@@ -171,15 +169,11 @@ def project_onto_algebra(alg: AlgebraSpec, x) -> CMatrix:
     d = alg.dim
     if x.shape != (d, d):
         raise DimensionMismatch(f"expected {d}x{d}, got {x.shape}")
-    u = alg.basis_change
-    y = u @ x @ u.conj().T
-    out = np.zeros_like(y)
-    offs = alg.block_offsets()
-    for i, (m, n) in enumerate(alg.blocks):
-        sub = y[offs[i] : offs[i + 1], offs[i] : offs[i + 1]]
-        w = partial_trace(sub, m, n, "left") / m
-        out[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = tensor(np.eye(m), w)
-    return u.conj().T @ out @ u
+    out = np.zeros((d, d), dtype=np.complex128)
+    for (m, _), g in zip(alg.blocks, alg._grids()):
+        w = np.einsum("asx,xy,aty->st", g, x, g.conj()) / m
+        out += np.einsum("asx,st,aty->xy", g.conj(), w, g)
+    return out
 
 
 def projection_superoperator(alg: AlgebraSpec) -> CMatrix:
@@ -227,6 +221,15 @@ def _as_state(rho0, dim: int, tol: ToleranceConfig) -> DensityOperator:
     return state
 
 
+def _state_in_algebra(alg: AlgebraSpec, rho0, tol: ToleranceConfig) -> DensityOperator:
+    """rho0 as a state on the algebra's space that is also one of its
+    elements; raises Rho0NotInAlgebra otherwise."""
+    state = _as_state(rho0, alg.dim, tol)
+    if max_abs_diff(state.mat, project_onto_algebra(alg, state.mat)) > tol.atol:
+        raise Rho0NotInAlgebra("state is not an element of the algebra within atol")
+    return state
+
+
 def is_trace_vector(v, alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL) -> TraceVectorReport:
     """Check <v|a|v> = trace(rho0 a) over the canonical basis of the algebra.
 
@@ -237,7 +240,7 @@ def is_trace_vector(v, alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TO
     if v.size != alg.dim:
         raise DimensionMismatch(f"vector length {v.size} vs algebra dimension {alg.dim}")
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol.atol:
+    if not (abs(nrm - 1.0) <= tol.atol):
         raise NotUnitVector(f"vector norm {nrm} is not 1 within atol")
     state = _as_state(rho0, alg.dim, tol)
     basis = alg._basis_stack()
@@ -341,16 +344,10 @@ def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL)
     """
     if not alg.is_unital:
         raise NotUnitalAlgebra("trace vectors with respect to a state require a unital algebra")
-    state = _as_state(rho0, alg.dim, tol)
-    if max_abs_diff(state.mat, project_onto_algebra(alg, state.mat)) > tol.atol:
-        raise Rho0NotInAlgebra("state is not an element of the algebra within atol")
-    u = alg.basis_change
-    y = u @ state.mat @ u.conj().T
-    offs = alg.block_offsets()
+    state = _state_in_algebra(alg, rho0, tol)
     v = np.zeros(alg.dim, dtype=np.complex128)
-    for i, (m, n) in enumerate(alg.blocks):
-        sub = y[offs[i] : offs[i + 1], offs[i] : offs[i + 1]]
-        w = partial_trace(sub, m, n, "left")  # = m * (block weight of rho0)
+    for i, ((m, _), g) in enumerate(zip(alg.blocks, alg._grids())):
+        w = np.einsum("asx,xy,aty->st", g, state.mat, g.conj())  # = m * (block weight of rho0)
         lam, vecs = np.linalg.eigh((w.T + w.conj()) / 2)
         order = np.argsort(lam)[::-1]
         lam, vecs = np.clip(lam[order], 0.0, None), vecs[:, order]
@@ -359,9 +356,6 @@ def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL)
             raise Infeasible(
                 f"block {i} weight has rank {rank} above multiplicity {m}; no such vector exists"
             )
-        comp = np.zeros((m, n), dtype=np.complex128)
-        for j in range(rank):
-            comp[j, :] = np.sqrt(lam[j]) * vecs[:, j].conj()
-        v[offs[i] : offs[i + 1]] = comp.reshape(-1)
-    out = u.conj().T @ v
-    return out / np.linalg.norm(out)
+        comp = np.sqrt(lam[:rank]) * vecs[:, :rank].conj()  # column j is row j of V
+        v += np.einsum("sa,asx->x", comp, g[:rank].conj())
+    return v / np.linalg.norm(v)

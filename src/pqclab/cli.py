@@ -15,6 +15,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -67,7 +69,7 @@ class CliFailure(Exception):
 
 def _read_document(path: str) -> dict:
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliFailure(1, f"cannot read {path}: {exc}") from exc
     try:
@@ -136,6 +138,8 @@ def _write_sample_csv(path: str, rows: list[dict]) -> None:
 
 
 def cmd_classify(args, tol: ToleranceConfig) -> RunReport:
+    if args.samples < 0:
+        raise CliFailure(1, f"--samples must be nonnegative, got {args.samples}")
     ch = _load_channel(args.channel, tol)
     try:
         pt = transfer(ch, tol)
@@ -263,14 +267,7 @@ def cmd_condexp(args, tol: ToleranceConfig) -> RunReport:
             raise _domain(exc) from exc
         result["transfer"] = {"T": [_floats(r) for r in pt.T], "t": _floats(pt.t)}
     if args.verify:
-        rep = verify_condexp_axioms(ch, alg, tol)
-        result["axioms"] = {
-            "fixes_subalgebra": float(rep.fixes_subalgebra),
-            "bimodule": float(rep.bimodule),
-            "positive": rep.positive,
-            "trace_preserving": float(rep.trace_preserving),
-            "passed": rep.passed,
-        }
+        result["axioms"] = asdict(verify_condexp_axioms(ch, alg, tol))
     return RunReport("condexp", tol.atol, result, 0)
 
 
@@ -284,13 +281,7 @@ def cmd_demo_frame(args, tol: ToleranceConfig) -> RunReport:
     weight = float(np.real(v.conj() @ triplet_proj @ v))
     verdict = is_pqc(PQCInstance((v,), ch, rho0, tol), tol)
     result = {
-        "axioms": {
-            "fixes_subalgebra": float(axioms.fixes_subalgebra),
-            "bimodule": float(axioms.bimodule),
-            "positive": axioms.positive,
-            "trace_preserving": float(axioms.trace_preserving),
-            "passed": axioms.passed,
-        },
+        "axioms": asdict(axioms),
         "vector": vector_to_json(v),
         "triplet_weight": weight,
         "singlet_weight": float(1.0 - weight),

@@ -18,19 +18,12 @@ import numpy as np
 
 from .algebras import (
     AlgebraSpec,
+    _state_in_algebra,
     is_trace_vector,
-    project_onto_algebra,
     projection_superoperator,
 )
-from .channels import (
-    Channel,
-    DensityOperator,
-    choi,
-    from_kraus,
-    kraus_from_choi,
-    superoperator,
-)
-from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector, Rho0NotInAlgebra
+from .channels import Channel, DensityOperator, choi, from_kraus, superoperator
+from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector
 from .linalg import DEFAULT_TOL, ToleranceConfig, freeze, is_psd, max_abs_diff, vec
 
 __all__ = [
@@ -63,7 +56,7 @@ class PQCInstance:
                 raise DimensionMismatch(
                     f"state length {s.size} vs channel input {self.channel.dim_in}"
                 )
-            if abs(np.linalg.norm(s) - 1.0) > self.tol.atol:
+            if not (abs(np.linalg.norm(s) - 1.0) <= self.tol.atol):
                 raise NotUnitVector(f"state norm {np.linalg.norm(s)} is not 1 within atol")
         if self.rho0.dim != self.channel.dim_out:
             raise DimensionMismatch(
@@ -106,21 +99,19 @@ def condexp_channel(alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Cha
     """The trace-preserving conditional expectation onto a unital algebra,
     as a validated Channel.
 
-    Assembled from the Hilbert-Schmidt projection applied to matrix units
-    (the Choi matrix), then converted to a minimal Kraus list. Non-unital
-    algebras are rejected: dropping the zero summand loses trace.
+    Built in closed form from the commutant's matrix units: block i gives
+    the m_i^2 Kraus operators m_i^{-1/2} U^dag (E_ab (x) 1_{n_i}) U, with
+    (a, b) in row-major order, so there are sum_i m_i^2 of them. Like any
+    Kraus list it is fixed only up to Choi equality. Non-unital algebras
+    are rejected: dropping the zero summand loses trace.
     """
     if not alg.is_unital:
         raise NotUnitalAlgebra("the projection onto a non-unital algebra is not trace preserving")
-    n = alg.dim
-    j4 = np.zeros((n, n, n, n), dtype=np.complex128)
-    unit = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n):
-        for l in range(n):
-            unit[k, l] = 1.0
-            j4[k, :, l, :] = project_onto_algebra(alg, unit)
-            unit[k, l] = 0.0
-    return kraus_from_choi(j4.reshape(n * n, n * n), n, n, tol)
+    ks = []
+    for (m, _), g in zip(alg.blocks, alg._grids()):
+        k = np.einsum("asx,bsy->abxy", g.conj(), g) * np.sqrt(1.0 / m)
+        ks.extend(k.reshape(m * m, alg.dim, alg.dim))
+    return from_kraus(ks, tol)
 
 
 def verify_condexp_axioms(
@@ -138,9 +129,9 @@ def verify_condexp_axioms(
     if ch.dim_in != n or ch.dim_out != n:
         raise DimensionMismatch(f"channel dims ({ch.dim_in}, {ch.dim_out}) vs algebra dim {n}")
     s = superoperator(ch)
-    basis = [np.asarray(b) for b in alg._basis_stack()]
+    basis = alg._basis_stack()
 
-    flat = np.stack([vec(b) for b in basis])
+    flat = basis.reshape(alg.num_basis, -1)
     fixes = float(np.max(np.abs(flat @ s.T - flat)))
 
     # E(b1 X b2) = b1 P(E(X)) b2 for all X in M_n is the superoperator
@@ -185,9 +176,7 @@ def private_states_certificate(
     """
     if not alg.is_unital:
         raise NotUnitalAlgebra("certificate requires a unital algebra")
-    state = rho0 if isinstance(rho0, DensityOperator) else DensityOperator(rho0, tol)
-    if max_abs_diff(state.mat, project_onto_algebra(alg, state.mat)) > tol.atol:
-        raise Rho0NotInAlgebra("target state is not an element of the algebra within atol")
+    state = _state_in_algebra(alg, rho0, tol)
     return is_trace_vector(v, alg, state, tol).passed
 
 

@@ -10,6 +10,7 @@ timestamps, stable key order, floats through Python repr.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +56,24 @@ def matrix_to_json(m) -> list[list[list[float]]]:
     return [[complex_to_json(z) for z in row] for row in m]
 
 
+def _json_real(x) -> float:
+    """A finite JSON number; json.loads also yields NaN and +-Infinity."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
+        return float(x)
+    raise SpecFormatError(f"expected a finite number, got {x!r}")
+
+
+def _json_int(x, what: str) -> int:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise SpecFormatError(f"{what} must be an integer, got {x!r}")
+
+
 def _json_to_complex(x) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, list) and len(x) == 2 and all(isinstance(p, (int, float)) for p in x):
-        return complex(x[0], x[1])
+    if not isinstance(x, list):
+        return complex(_json_real(x))
+    if len(x) == 2:
+        return complex(_json_real(x[0]), _json_real(x[1]))
     raise SpecFormatError(f"expected a number or [re, im] pair, got {x!r}")
 
 
@@ -91,11 +105,12 @@ def algebra_from_spec(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraS
     raw_blocks = _require(obj, "blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise SpecFormatError("blocks must be a nonempty array of [m, n] pairs")
-    try:
-        blocks = tuple((int(m), int(n)) for m, n in raw_blocks)
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(f"bad blocks entry: {exc}") from exc
-    zero_dim = int(obj.get("zero_dim", 0))
+    if not all(isinstance(b, list) and len(b) == 2 for b in raw_blocks):
+        raise SpecFormatError(f"blocks entries must be [m, n] pairs, got {raw_blocks!r}")
+    blocks = tuple(
+        (_json_int(m, "block multiplicity"), _json_int(n, "block size")) for m, n in raw_blocks
+    )
+    zero_dim = _json_int(obj.get("zero_dim", 0), "zero_dim")
     raw_u = obj.get("basis_change")
     u = None if raw_u is None else json_to_matrix(raw_u)
     try:
@@ -143,16 +158,17 @@ def channel_from_spec(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
         us = _require(obj, "unitaries")
         if not isinstance(probs, list) or not isinstance(us, list):
             raise SpecFormatError("random_unitary needs probs and unitaries arrays")
-        return random_unitary([float(p) for p in probs], [json_to_matrix(u) for u in us], tol)
+        return random_unitary([_json_real(p) for p in probs], [json_to_matrix(u) for u in us], tol)
     if kind == "depolarizing":
-        return depolarizing(float(_require(obj, "p")), int(_require(obj, "d")))
+        return depolarizing(_json_real(_require(obj, "p")), _json_int(_require(obj, "d"), "d"))
     if kind == "condexp":
         from .condexp import condexp_channel
 
         return condexp_channel(algebra_from_spec(_require(obj, "algebra"), tol), tol)
     if kind == "named":
         d = obj.get("d")
-        return _named_channel(str(_require(obj, "name")), None if d is None else int(d), tol)
+        d = None if d is None else _json_int(d, "d")
+        return _named_channel(str(_require(obj, "name")), d, tol)
     raise SpecFormatError(f"unknown channel kind {kind!r}")
 
 

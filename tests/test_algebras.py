@@ -28,6 +28,7 @@ from pqclab.errors import (
 )
 from pqclab.linalg import hs_inner, matrices_equal, max_abs_diff, partial_trace, tensor, vec
 from pqclab.rand import haar_unitary, random_block_algebra, random_unit_vector
+from reference import reference_projection
 
 DELTA2 = diagonal_algebra(2)
 SCALAR2 = scalar_algebra(2)
@@ -135,6 +136,20 @@ class TestProjection:
         expected = tensor(np.eye(2) / 2, partial_trace(x, 2, 2, "left"))
         assert max_abs_diff(project_onto_algebra(TWO_BY_M2, x), expected) < 1e-12
 
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from(
+            [(((2, 2), (1, 1)), 0), (((3, 1), (1, 2), (2, 1)), 0), (((1, 2), (2, 2)), 2)]
+        ),
+    )
+    def test_blocks_average_left_factor_under_basis_change(self, seed, shape):
+        blocks, zero_dim = shape
+        rng = np.random.default_rng(seed)
+        d = sum(m * n for m, n in blocks) + zero_dim
+        alg = AlgebraSpec(blocks, zero_dim, haar_unitary(d, rng))
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert max_abs_diff(project_onto_algebra(alg, x), reference_projection(alg, x)) < 1e-12
+
     @given(st.integers(0, 10**6))
     def test_idempotent_and_hs_self_adjoint(self, seed):
         rng = np.random.default_rng(seed)
@@ -195,6 +210,8 @@ class TestIsTraceVector:
     def test_rejects_non_unit_vectors(self):
         with pytest.raises(NotUnitVector):
             is_trace_vector(np.array([1.0, 1.0]), DELTA2, MIXED2)
+        with pytest.raises(NotUnitVector):
+            is_trace_vector(np.array([np.nan, 0.0]), DELTA2, MIXED2)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatch):

@@ -319,3 +319,54 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["tag"] == "Empty"
+
+
+NAN, INF = float("nan"), float("inf")
+HALF2 = {"rho0": matrix_to_json(np.eye(2) / 2)}
+
+
+class TestMalformedInput:
+    # dict arguments are written to files; every case must exit 1 with an
+    # error line, no traceback and nothing on stdout
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["check-pqc", DEPHASING_DOC, {"states": [[NAN, 0]]}, HALF2], id="nan-amplitude"),
+            pytest.param(
+                ["check-pqc", DEPHASING_DOC, {"states": [[[1, INF], 0]]}, HALF2], id="inf-amplitude"
+            ),
+            pytest.param(
+                ["trace-vectors", DELTA2_DOC, "--check", {"vector": [NAN, 0]}], id="nan-vector"
+            ),
+            pytest.param(
+                ["trace-vectors", DELTA2_DOC, "--rho0", {"rho0": [[-INF, 0], [0, 1]]}], id="inf-rho0"
+            ),
+            pytest.param(
+                ["classify", {"kind": "random_unitary", "probs": [NAN, 1.0],
+                              "unitaries": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]}],
+                id="nan-probability",
+            ),
+            pytest.param(["trace-vectors", {"blocks": [[1.7, 1]]}], id="float-block"),
+            pytest.param(["trace-vectors", {"blocks": [[True, 1]]}], id="bool-block"),
+            pytest.param(["trace-vectors", {"blocks": [[1]]}], id="short-block"),
+            pytest.param(["trace-vectors", {"blocks": [[1, 1]], "zero_dim": [1]}], id="list-zero-dim"),
+            pytest.param(["trace-vectors", {"blocks": [[1, 1]], "zero_dim": 1.0}], id="float-zero-dim"),
+            pytest.param(["classify", {"kind": "depolarizing", "p": 0.5, "d": 2.9}], id="float-d"),
+            pytest.param(
+                ["classify", {"kind": "named", "name": "identity", "d": [2]}], id="list-named-d"
+            ),
+            pytest.param(
+                ["classify", {"kind": "named", "name": "identity", "d": True}], id="bool-named-d"
+            ),
+            pytest.param(["classify", DEPHASING_DOC, "--samples", "-1"], id="negative-samples"),
+        ],
+    )
+    def test_exits_1_without_traceback(self, capsys, write_doc, argv):
+        args = [
+            write_doc(f"doc{i}.json", a) if isinstance(a, dict) else a for i, a in enumerate(argv)
+        ]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err

@@ -36,7 +36,8 @@ from pqclab.errors import (
     Rho0NotInAlgebra,
 )
 from pqclab.linalg import hs_inner, matrices_equal, max_abs_diff, partial_trace, tensor
-from pqclab.rand import random_block_algebra, random_unit_vector
+from pqclab.rand import haar_unitary, random_block_algebra, random_unit_vector
+from reference import reference_condexp
 
 DELTA2 = diagonal_algebra(2)
 SCALAR2 = scalar_algebra(2)
@@ -79,6 +80,42 @@ class TestCondexpChannel:
         ch = condexp_channel(alg)
         x = rng.standard_normal((alg.dim,) * 2) + 1j * rng.standard_normal((alg.dim,) * 2)
         assert max_abs_diff(ch.apply_matrix(x), project_onto_algebra(alg, x)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            ((2, 1), (1, 2)),
+            ((2, 2), (1, 1)),
+            ((3, 1), (1, 2), (2, 1)),
+            ((1, 2), (1, 2)),
+            ((2, 2), (3, 1)),
+            ((1, 1), (1, 1), (1, 1)),
+        ],
+    )
+    def test_closed_form_matches_choi_route(self, blocks):
+        rng = np.random.default_rng(sum(m * n for m, n in blocks) + len(blocks))
+        alg = AlgebraSpec(blocks, 0, haar_unitary(sum(m * n for m, n in blocks), rng))
+        ch = condexp_channel(alg)
+        assert len(ch.kraus) == sum(m * m for m, _ in blocks)
+        assert channels_equal(ch, reference_condexp(alg))
+
+    def test_kraus_order_is_block_by_block_then_row_major(self):
+        blocks = ((2, 1), (3, 2))
+        u = haar_unitary(8, np.random.default_rng(5))
+        ch = condexp_channel(AlgebraSpec(blocks, 0, u))
+        expected, off = [], 0
+        for m, n in blocks:
+            for a in range(m):
+                for b in range(m):
+                    unit = np.zeros((m, m))
+                    unit[a, b] = 1.0
+                    e = np.zeros((8, 8), dtype=complex)
+                    e[off : off + m * n, off : off + m * n] = np.kron(unit, np.eye(n)) / np.sqrt(m)
+                    expected.append(u.conj().T @ e @ u)
+            off += m * n
+        assert len(ch.kraus) == len(expected)
+        for k, want in zip(ch.kraus, expected):
+            assert max_abs_diff(k, want) < 1e-12
 
     def test_rejects_non_unital_algebras(self):
         with pytest.raises(NotUnitalAlgebra):
@@ -166,6 +203,8 @@ class TestIsPqc:
     def test_instance_validation(self):
         with pytest.raises(NotUnitVector):
             PQCInstance((np.array([1.0, 1.0]),), E_DELTA, MIXED2)
+        with pytest.raises(NotUnitVector):
+            PQCInstance((np.array([np.nan, 0.0]),), E_DELTA, MIXED2)
         with pytest.raises(DimensionMismatch):
             PQCInstance((np.array([1.0, 0.0, 0.0]),), E_DELTA, MIXED2)
         with pytest.raises(ValueError):

@@ -41,6 +41,17 @@ class TestScalarEncoding:
         with pytest.raises(SpecFormatError):
             json_to_vector([])
 
+    @pytest.mark.parametrize(
+        "entry",
+        [float("nan"), float("inf"), [0.0, float("-inf")], True, [1, False], 10**400, "1"],
+        ids=["nan", "inf", "pair-minus-inf", "bool", "pair-bool", "huge-int", "string"],
+    )
+    def test_rejects_non_finite_and_non_numeric_entries(self, entry):
+        with pytest.raises(SpecFormatError):
+            json_to_vector([entry])
+        with pytest.raises(SpecFormatError):
+            json_to_matrix([[entry]])
+
     def test_matrix_rejects_ragged_rows(self):
         with pytest.raises(SpecFormatError):
             json_to_matrix([[1, 2], [3]])
@@ -105,6 +116,22 @@ class TestChannelSpecs:
         with pytest.raises(SpecFormatError):
             channel_from_spec({"kraus": [[[1]]]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "depolarizing", "p": 0.5, "d": 2.9},
+            {"kind": "depolarizing", "p": 0.5, "d": 2.0},
+            {"kind": "depolarizing", "p": float("nan"), "d": 2},
+            {"kind": "named", "name": "identity", "d": [2]},
+            {"kind": "named", "name": "identity", "d": True},
+            {"kind": "random_unitary", "probs": [float("nan"), 1.0],
+             "unitaries": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]},
+        ],
+    )
+    def test_rejects_non_integer_dimensions_and_non_finite_weights(self, doc):
+        with pytest.raises(SpecFormatError):
+            channel_from_spec(doc)
+
     def test_named_registry_is_stable(self):
         assert NAMED_CHANNELS == ("identity", "completely_depolarizing", "dephasing_z", "frame_n2")
 
@@ -131,6 +158,21 @@ class TestAlgebraSpecs:
             algebra_from_spec({"blocks": [[0, 1]]})
         with pytest.raises(SpecFormatError):
             algebra_from_spec("not an object")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"blocks": [[1.7, 1]]},
+            {"blocks": [[1.0, 1]]},
+            {"blocks": [[True, 1]]},
+            {"blocks": [[1, 1, 1]]},
+            {"blocks": [[1, 1]], "zero_dim": [1]},
+            {"blocks": [[1, 1]], "zero_dim": 1.5},
+        ],
+    )
+    def test_integer_fields_are_parsed_strictly(self, doc):
+        with pytest.raises(SpecFormatError):
+            algebra_from_spec(doc)
 
 
 class TestRunReport:
