@@ -180,20 +180,14 @@ def projection_superoperator(alg: AlgebraSpec) -> CMatrix:
     """Matrix of :func:`project_onto_algebra` on row-major vectorized input.
 
     The canonical basis is Hilbert-Schmidt orthogonal with squared norms
-    equal to the block multiplicities, so the projection is a weighted sum
-    of rank-one superoperators over it.
+    equal to the block multiplicities, so the projection is the weighted
+    sum of rank-one superoperators sum_k vec(b_k) vec(b_k)^dag / m_k over
+    it, formed as one product of the stacked basis with its conjugate.
     """
     if "proj_superop" not in alg._cache:
-        d = alg.dim
-        s = np.zeros((d * d, d * d), dtype=np.complex128)
-        basis = alg._basis_stack()
-        pos = 0
-        for m, n in alg.blocks:
-            for _ in range(n * n):
-                w = basis[pos].reshape(-1)
-                s += np.outer(w, w.conj()) / m
-                pos += 1
-        alg._cache["proj_superop"] = s
+        flat = alg._basis_stack().reshape(alg.num_basis, -1)
+        weight = np.repeat([1.0 / m for m, _ in alg.blocks], [n * n for _, n in alg.blocks])
+        alg._cache["proj_superop"] = (flat.T * weight) @ flat.conj()
     return alg._cache["proj_superop"]
 
 

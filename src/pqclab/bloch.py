@@ -110,6 +110,7 @@ class AntipodalPair(PrivateStateSet):
     """Exactly two private pure states, orthogonal to each other."""
 
     states: tuple[np.ndarray, np.ndarray]
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
     tag = "AntipodalPair"
     nullity = 1
 
@@ -117,8 +118,8 @@ class AntipodalPair(PrivateStateSet):
         a, b = (np.asarray(s, dtype=np.complex128) for s in self.states)
         if a.shape != (2,) or b.shape != (2,):
             raise DimensionMismatch("antipodal states must be qubit kets")
-        if abs(np.vdot(a, b)) > 1e-6:
-            raise ValueError("antipodal states must be orthogonal")
+        if not (abs(np.vdot(a, b)) <= self.tol.atol):
+            raise ValueError("antipodal states must be orthogonal within atol")
         object.__setattr__(self, "states", (freeze(a), freeze(b)))
 
 
@@ -127,6 +128,7 @@ class GreatCircle(PrivateStateSet):
     """Private states fill the great circle of the plane with this normal."""
 
     normal: np.ndarray
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
     tag = "GreatCircle"
     nullity = 2
 
@@ -134,8 +136,8 @@ class GreatCircle(PrivateStateSet):
         n = np.asarray(self.normal, dtype=float)
         if n.shape != (3,):
             raise DimensionMismatch("normal must be a real 3-vector")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-6:
-            raise ValueError("normal must be a unit vector")
+        if not (abs(np.linalg.norm(n) - 1.0) <= self.tol.atol):
+            raise ValueError("normal must be a unit vector within atol")
         object.__setattr__(self, "normal", freeze(n))
 
 
@@ -208,11 +210,11 @@ def classify(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> PrivateStateSet
         return Empty()
     if len(null) == 1:
         v = _lex_sign(null[0] / np.linalg.norm(null[0]), tol.atol)
-        return AntipodalPair((bloch_to_ket(v), bloch_to_ket(-v)))
+        return AntipodalPair((bloch_to_ket(v), bloch_to_ket(-v)), tol)
     if len(null) == 2:
         n = np.cross(null[0], null[1])
         n = _lex_sign(n / np.linalg.norm(n), tol.atol)
-        return GreatCircle(n)
+        return GreatCircle(n, tol)
     return AllStates()
 
 

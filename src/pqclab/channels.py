@@ -180,12 +180,9 @@ def apply(ch: Channel, rho: DensityOperator, tol: ToleranceConfig = DEFAULT_TOL)
 def choi(ch: Channel) -> CMatrix:
     """Choi matrix (id (x) ch) applied to the unnormalized maximally
     entangled matrix sum_kl E_kl (x) E_kl; PSD iff the map is CP."""
-    d_in, d_out = ch.dim_in, ch.dim_out
-    j = np.zeros((d_in * d_out, d_in * d_out), dtype=np.complex128)
-    for k in ch.kraus:
-        w = k.T.reshape(-1)  # sum_k |k> (x) K|k> in row-major coordinates
-        j += np.outer(w, w.conj())
-    return j
+    # row a of w is sum_k |k> (x) K_a|k> in row-major coordinates
+    w = np.stack(ch.kraus).transpose(0, 2, 1).reshape(len(ch.kraus), -1)
+    return w.T @ w.conj()
 
 
 def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -209,10 +206,10 @@ def superoperator(ch: Channel) -> CMatrix:
     """Matrix of the channel action on row-major vectorized inputs:
     vec(ch(X)) = S vec(X)."""
     d_in, d_out = ch.dim_in, ch.dim_out
-    s = np.zeros((d_out * d_out, d_in * d_in), dtype=np.complex128)
-    for k in ch.kraus:
-        s += np.kron(k, k.conj())
-    return s
+    # sum_a K_a (x) conj(K_a): entry ((i, j), (k, l)) is sum_a K_a[i, k] conj(K_a[j, l])
+    ks = np.stack(ch.kraus).reshape(len(ch.kraus), -1)
+    s = (ks.T @ ks.conj()).reshape(d_out, d_in, d_out, d_in)
+    return s.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
 
 
 def compose(a: Channel, b: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:

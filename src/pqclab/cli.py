@@ -107,7 +107,7 @@ def _load_density(path: str, key: str, tol: ToleranceConfig) -> DensityOperator:
         raise CliFailure(1, f"bad density matrix in {path}: {exc}") from exc
 
 
-def _domain(exc: PqclabError) -> CliFailure:
+def _domain(exc: Exception) -> CliFailure:
     return CliFailure(2, f"{type(exc).__name__}: {exc}")
 
 
@@ -144,7 +144,8 @@ def cmd_classify(args, tol: ToleranceConfig) -> RunReport:
     try:
         pt = transfer(ch, tol)
         tag = classify(ch, tol)
-    except PqclabError as exc:
+    except (PqclabError, ValueError) as exc:
+        # ValueError: an atol below the rounding of the constructed set
         raise _domain(exc) from exc
     result = {
         "tag": tag.tag,

@@ -33,9 +33,16 @@ __all__ = [
     "algebra_from_spec",
     "algebra_to_spec",
     "NAMED_CHANNELS",
+    "MAX_CHANNEL_DIM",
 ]
 
 NAMED_CHANNELS = ("identity", "completely_depolarizing", "dephasing_z", "frame_n2")
+
+# Largest d a depolarizing or named channel document may ask for. A
+# depolarizing channel has d^2 Kraus operators of size d x d, so its memory
+# grows as d^4 (16 MB at d = 32); the cap keeps a hostile document from
+# requesting an unbounded allocation.
+MAX_CHANNEL_DIM = 32
 
 
 class SpecFormatError(PqclabError):
@@ -67,6 +74,13 @@ def _json_int(x, what: str) -> int:
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     raise SpecFormatError(f"{what} must be an integer, got {x!r}")
+
+
+def _json_dim(x) -> int:
+    d = _json_int(x, "d")
+    if not 1 <= d <= MAX_CHANNEL_DIM:
+        raise SpecFormatError(f"d must lie in 1..{MAX_CHANNEL_DIM}, got {d}")
+    return d
 
 
 def _json_to_complex(x) -> complex:
@@ -160,14 +174,14 @@ def channel_from_spec(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
             raise SpecFormatError("random_unitary needs probs and unitaries arrays")
         return random_unitary([_json_real(p) for p in probs], [json_to_matrix(u) for u in us], tol)
     if kind == "depolarizing":
-        return depolarizing(_json_real(_require(obj, "p")), _json_int(_require(obj, "d"), "d"))
+        return depolarizing(_json_real(_require(obj, "p")), _json_dim(_require(obj, "d")))
     if kind == "condexp":
         from .condexp import condexp_channel
 
         return condexp_channel(algebra_from_spec(_require(obj, "algebra"), tol), tol)
     if kind == "named":
         d = obj.get("d")
-        d = None if d is None else _json_int(d, "d")
+        d = None if d is None else _json_dim(d)
         return _named_channel(str(_require(obj, "name")), d, tol)
     raise SpecFormatError(f"unknown channel kind {kind!r}")
 

@@ -19,7 +19,7 @@ from pqclab.bloch import (
 )
 from pqclab.channels import depolarizing, from_kraus, random_unitary
 from pqclab.errors import BlochVectorTooLong, DimensionMismatch, NotUnital
-from pqclab.linalg import matrices_equal, max_abs_diff
+from pqclab.linalg import ToleranceConfig, matrices_equal, max_abs_diff
 from pqclab.rand import haar_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -233,3 +233,30 @@ class TestValidation:
     def test_great_circle_needs_unit_normal(self):
         with pytest.raises(ValueError):
             GreatCircle(np.array([0.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("off, default_accepts", [(1e-7, False), (1e-10, True)])
+    def test_tolerance_sets_the_acceptance_boundary(self, off, default_accepts):
+        # off lies between the looser and the tighter atol; the default atol is 1e-9
+        loose, tight = ToleranceConfig(off * 10), ToleranceConfig(off / 10)
+        pair = (np.array([1.0, 0.0]), np.array([off, 1.0]) / np.hypot(off, 1.0))
+        normal = np.array([0.0, 0.0, 1.0 + off])
+        for make, arg in ((AntipodalPair, pair), (GreatCircle, normal)):
+            make(arg, loose)
+            with pytest.raises(ValueError):
+                make(arg, tight)
+            if default_accepts:
+                make(arg)
+            else:
+                with pytest.raises(ValueError):
+                    make(arg)
+
+    def test_classify_passes_its_tolerance_on(self):
+        tol = ToleranceConfig(1e-7)
+        assert classify(DEPHASING, tol).tol is tol
+        assert classify(PAULI_MIX, tol).tol is tol
+
+    def test_nan_inputs_are_rejected(self):
+        with pytest.raises(ValueError):
+            AntipodalPair((np.array([1.0, 0.0]), np.array([np.nan, 1.0])))
+        with pytest.raises(ValueError):
+            GreatCircle(np.array([0.0, 0.0, np.nan]))

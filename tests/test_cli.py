@@ -1,11 +1,14 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pqclab
 from pqclab.cli import ENV_TOL, main
 from pqclab.io import matrix_to_json
 
@@ -270,6 +273,20 @@ class TestDemoFrame:
         assert doc["result"]["is_pqc"] is True
 
 
+class TestTightTolerance:
+    def test_unreachable_atol_in_classify_is_a_domain_error(self, capsys, write_doc):
+        # exact Kraus entries load at any atol, but the antipodal kets carry
+        # a rounding error of about 1e-17 in their overlap
+        doc = {
+            "kind": "kraus",
+            "kraus": [[[0.5, 0.5], [0.5, -0.5]], [[0.5, -0.5], [[0, 0.5], [0, 0.5]]]],
+        }
+        code, out, err = run_cli(capsys, "classify", write_doc("ch.json", doc), "--tol", "1e-300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ValueError: antipodal states must be orthogonal")
+
+
 class TestPlumbing:
     def test_text_format(self, capsys, write_doc):
         code, out, _ = run_cli(
@@ -312,10 +329,16 @@ class TestPlumbing:
 
     def test_module_entry_point(self, write_doc):
         path = write_doc("ch.json", IDENTITY_DOC)
+        # the child imports pqclab from where this process found it, which
+        # pytest's pythonpath setting does not pass on through the environment
+        src = str(Path(pqclab.__file__).resolve().parent.parent)
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "pqclab.cli", "classify", path],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["tag"] == "Empty"
@@ -359,6 +382,12 @@ class TestMalformedInput:
                 ["classify", {"kind": "named", "name": "identity", "d": True}], id="bool-named-d"
             ),
             pytest.param(["classify", DEPHASING_DOC, "--samples", "-1"], id="negative-samples"),
+            pytest.param(["classify", {"kind": "depolarizing", "p": 0.5, "d": 10**9}], id="huge-d"),
+            pytest.param(
+                ["check-pqc", {"kind": "named", "name": "completely_depolarizing", "d": 33},
+                 {"states": [[1, 0]]}, HALF2],
+                id="named-d-over-cap",
+            ),
         ],
     )
     def test_exits_1_without_traceback(self, capsys, write_doc, argv):

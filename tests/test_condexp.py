@@ -8,6 +8,7 @@ from pqclab.algebras import (
     diagonal_algebra,
     full_matrix_algebra,
     project_onto_algebra,
+    projection_superoperator,
     scalar_algebra,
     trace_vector_onb,
 )
@@ -17,9 +18,11 @@ from pqclab.channels import (
     channels_equal,
     choi,
     compose,
+    convex_mix,
     depolarizing,
     from_kraus,
     random_unitary,
+    superoperator,
 )
 from pqclab.condexp import (
     PQCInstance,
@@ -36,8 +39,14 @@ from pqclab.errors import (
     Rho0NotInAlgebra,
 )
 from pqclab.linalg import hs_inner, matrices_equal, max_abs_diff, partial_trace, tensor
-from pqclab.rand import haar_unitary, random_block_algebra, random_unit_vector
-from reference import reference_condexp
+from pqclab.rand import haar_unitary, random_block_algebra, random_ru_channel, random_unit_vector
+from reference import (
+    reference_bimodule,
+    reference_choi,
+    reference_condexp,
+    reference_projection_superoperator,
+    reference_superoperator,
+)
 
 DELTA2 = diagonal_algebra(2)
 SCALAR2 = scalar_algebra(2)
@@ -180,6 +189,83 @@ class TestAxioms:
         lhs = hs_inner(e.apply_matrix(x), y)
         rhs = hs_inner(x, e.apply_matrix(y))
         assert abs(lhs - rhs) < 1e-10
+
+
+# (blocks, zero_dim) of 1-4 blocks with d <= 12; no unital shape here is a
+# single block 1_m (x) M_n with m = 1 or n = 1, which a basis change fixes,
+# so an independently rotated copy is a different algebra
+HAAR_SHAPES = [
+    (((2, 2),), 0),
+    (((3, 2),), 0),
+    (((2, 1), (1, 2)), 0),
+    (((1, 3), (2, 1)), 0),
+    (((2, 2), (1, 1), (1, 2)), 0),
+    (((1, 1), (1, 1), (2, 1), (1, 3)), 0),
+    (((1, 2), (1, 2), (1, 2), (2, 1)), 0),
+    (((4, 2), (2, 2)), 0),
+    (((6, 2),), 0),
+    (((2, 2),), 3),
+    (((1, 2), (2, 1)), 2),
+    (((3, 1), (1, 2), (1, 1)), 4),
+    (((2, 2), (1, 1), (1, 1), (2, 1)), 2),
+]
+UNITAL_SHAPES = [blocks for blocks, zero_dim in HAAR_SHAPES if zero_dim == 0]
+
+
+def _haar_algebra(blocks, zero_dim, rng):
+    d = sum(m * n for m, n in blocks) + zero_dim
+    return AlgebraSpec(blocks, zero_dim, haar_unitary(d, rng))
+
+
+def _isometry_channel(d_in, d_out, count, rng):
+    """Kraus operators cut from the first d_in columns of a Haar unitary."""
+    v = haar_unitary(count * d_out, rng)[:, :d_in]
+    return from_kraus(v.reshape(count, d_out, d_in))
+
+
+class TestLoopReferences:
+    """The single-product matrices and the linear-in-K bimodule check against
+    the loop constructions they replace (tests/reference.py)."""
+
+    @pytest.mark.parametrize("blocks", UNITAL_SHAPES)
+    def test_superoperator_and_choi_match_kraus_loops(self, blocks):
+        rng = np.random.default_rng(len(blocks) * 100 + sum(m * n for m, n in blocks))
+        alg = _haar_algebra(blocks, 0, rng)
+        d = alg.dim
+        for ch in (
+            condexp_channel(alg),
+            random_ru_channel(d, 3, rng),
+            _isometry_channel(d, d - 1, 2, rng),
+            _isometry_channel(d - 1, d, 3, rng),
+        ):
+            assert max_abs_diff(superoperator(ch), reference_superoperator(ch)) < 1e-12
+            assert max_abs_diff(choi(ch), reference_choi(ch)) < 1e-12
+
+    @pytest.mark.parametrize("shape", HAAR_SHAPES)
+    def test_projection_superoperator_matches_rank_one_loop(self, shape):
+        blocks, zero_dim = shape
+        alg = _haar_algebra(blocks, zero_dim, np.random.default_rng(len(blocks) + 10 * zero_dim))
+        want = reference_projection_superoperator(alg)
+        assert max_abs_diff(projection_superoperator(alg), want) < 1e-12
+
+    @pytest.mark.parametrize("blocks", UNITAL_SHAPES)
+    def test_bimodule_verdict_matches_joint_pair_loop(self, blocks):
+        rng = np.random.default_rng(sum(m * n * (i + 1) for i, (m, n) in enumerate(blocks)))
+        alg = _haar_algebra(blocks, 0, rng)
+        other = _haar_algebra(blocks, 0, rng)
+        e = condexp_channel(alg)
+        flip = random_unitary([1.0], [haar_unitary(alg.dim, rng)])
+        cases = [
+            (e, alg, True),
+            (e, other, False),
+            (convex_mix([1 - 1e-3, 1e-3], [e, flip]), alg, False),
+            (convex_mix([1 - 1e-13, 1e-13], [e, flip]), alg, True),
+        ]
+        for ch, target, expected in cases:
+            report = verify_condexp_axioms(ch, target)
+            assert report.passed is expected
+            assert (report.bimodule <= 1e-9) is expected
+            assert (reference_bimodule(ch, target) <= 1e-9) is expected
 
 
 class TestIsPqc:

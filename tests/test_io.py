@@ -5,7 +5,9 @@ import pytest
 
 from pqclab.channels import channels_equal, depolarizing, from_kraus
 from pqclab.condexp import collective_noise_channel_n2, condexp_channel
+from pqclab import io as pqclab_io
 from pqclab.io import (
+    MAX_CHANNEL_DIM,
     NAMED_CHANNELS,
     RunReport,
     SpecFormatError,
@@ -131,6 +133,36 @@ class TestChannelSpecs:
     def test_rejects_non_integer_dimensions_and_non_finite_weights(self, doc):
         with pytest.raises(SpecFormatError):
             channel_from_spec(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "depolarizing", "p": 0.5, "d": MAX_CHANNEL_DIM + 1},
+            {"kind": "depolarizing", "p": 0.5, "d": 10**9},
+            {"kind": "depolarizing", "p": 0.5, "d": 0},
+            {"kind": "named", "name": "completely_depolarizing", "d": MAX_CHANNEL_DIM + 1},
+            {"kind": "named", "name": "identity", "d": 10**12},
+            {"kind": "named", "name": "identity", "d": 0},
+            {"kind": "named", "name": "identity", "d": -3},
+        ],
+    )
+    def test_dimension_outside_the_cap_is_rejected_before_building(self, doc, monkeypatch):
+        def build(*args):
+            raise AssertionError("a channel was built")
+
+        monkeypatch.setattr(pqclab_io, "depolarizing", build)
+        monkeypatch.setattr(pqclab_io, "from_kraus", build)
+        with pytest.raises(SpecFormatError, match="d must lie in"):
+            channel_from_spec(doc)
+
+    def test_dimension_at_the_cap_is_accepted(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(pqclab_io, "depolarizing", lambda p, d: built.append(d))
+        cap = MAX_CHANNEL_DIM
+        channel_from_spec({"kind": "depolarizing", "p": 0.5, "d": cap})
+        channel_from_spec({"kind": "named", "name": "completely_depolarizing", "d": cap})
+        assert built == [cap, cap]
+        assert channel_from_spec({"kind": "named", "name": "identity", "d": cap}).dim_in == cap
 
     def test_named_registry_is_stable(self):
         assert NAMED_CHANNELS == ("identity", "completely_depolarizing", "dephasing_z", "frame_n2")
