@@ -82,15 +82,6 @@ class PauliTransfer:
         object.__setattr__(self, "T", freeze(T.real))
         object.__setattr__(self, "t", freeze(t.real))
 
-    def as_matrix(self) -> np.ndarray:
-        """4x4 affine block matrix [[1, 0], [t, T]]; first row is fixed by
-        trace preservation."""
-        m = np.zeros((4, 4))
-        m[0, 0] = 1.0
-        m[1:, 0] = self.t
-        m[1:, 1:] = self.T
-        return m
-
 
 class PrivateStateSet:
     """Base of the four-way tagged union returned by :func:`classify`."""

@@ -4,9 +4,12 @@ Subcommands: classify, check-pqc, trace-vectors, condexp, demo-frame.
 Every file argument is a JSON document (see docs/file_formats.md) and "-"
 reads the document from stdin. Machine output (default --format json) is a
 RunReport with stable field order; identical inputs produce byte-identical
-output. Exit codes: 0 for a completed run (including false verdicts),
-1 for unreadable or schema-invalid input, 2 for domain errors such as
-non-unital inputs or dimension mismatches.
+output. Exit codes: 0 for a completed run (including false verdicts);
+1 for anything that fails while reading, decoding or validating an input
+file, for a bad --samples or PQCLAB_TOL, and for a failed write of --out;
+2 for any PqclabError or ValueError raised once all inputs are built, such
+as a non-unital input, a dimension mismatch or a --tol below float
+rounding. Stdout is empty unless the exit code is 0.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .algebras import (
-    AlgebraSpec,
     has_trace_vector,
     is_trace_vector,
     trace_vector_onb,
@@ -35,7 +37,7 @@ from .bloch import (
     sample_private_states,
     transfer,
 )
-from .channels import Channel, DensityOperator, choi
+from .channels import DensityOperator, choi
 from .condexp import (
     PQCInstance,
     collective_noise_channel_n2,
@@ -47,6 +49,7 @@ from .errors import NoTraceVectors, PqclabError
 from .io import (
     RunReport,
     SpecFormatError,
+    _require,
     algebra_from_spec,
     channel_from_spec,
     json_to_matrix,
@@ -58,6 +61,10 @@ from .linalg import ToleranceConfig
 
 ENV_TOL = "PQCLAB_TOL"
 
+# Largest --samples classify accepts. Every sampled state is kept in the
+# report, so time and memory grow with the count; the cap bounds both.
+MAX_SAMPLES = 10_000
+
 
 class CliFailure(Exception):
     """Abort the command with a message and a contract exit code."""
@@ -67,48 +74,33 @@ class CliFailure(Exception):
         self.exit_code = exit_code
 
 
-def _read_document(path: str) -> dict:
+def _parse(path: str, what: str, build):
+    """Read the JSON object in ``path`` ("-" for stdin) and return ``build(doc)``.
+
+    Anything that fails on the way, reading, decoding or building, is an
+    input error (exit 1) naming the file.
+    """
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliFailure(1, f"cannot read {path}: {exc}") from exc
-    try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliFailure(1, f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliFailure(1, f"top-level value in {path} must be an object")
-    return doc
+        if not isinstance(doc, dict):
+            raise SpecFormatError("top-level value must be an object")
+        return build(doc)
+    except (OSError, ValueError, PqclabError) as exc:
+        raise CliFailure(1, f"bad {what} file {path}: {exc}") from exc
 
 
-def _load_channel(path: str, tol: ToleranceConfig) -> Channel:
-    doc = _read_document(path)
-    try:
-        return channel_from_spec(doc, tol)
-    except (SpecFormatError, PqclabError, ValueError) as exc:
-        raise CliFailure(1, f"bad channel file {path}: {exc}") from exc
+def _rho0(path: str, tol: ToleranceConfig) -> DensityOperator:
+    return _parse(
+        path, "rho0", lambda doc: DensityOperator(json_to_matrix(_require(doc, "rho0")), tol)
+    )
 
 
-def _load_algebra(path: str, tol: ToleranceConfig) -> AlgebraSpec:
-    doc = _read_document(path)
-    try:
-        return algebra_from_spec(doc, tol)
-    except (SpecFormatError, ValueError, PqclabError) as exc:
-        raise CliFailure(1, f"bad algebra file {path}: {exc}") from exc
-
-
-def _load_density(path: str, key: str, tol: ToleranceConfig) -> DensityOperator:
-    doc = _read_document(path)
-    if key not in doc:
-        raise CliFailure(1, f"{path} must contain a {key!r} matrix")
-    try:
-        return DensityOperator(json_to_matrix(doc[key]), tol)
-    except (SpecFormatError, PqclabError, ValueError) as exc:
-        raise CliFailure(1, f"bad density matrix in {path}: {exc}") from exc
-
-
-def _domain(exc: Exception) -> CliFailure:
-    return CliFailure(2, f"{type(exc).__name__}: {exc}")
+def _states(doc: dict) -> tuple:
+    states = _require(doc, "states")
+    if not isinstance(states, list) or not states:
+        raise SpecFormatError("'states' must be a nonempty array")
+    return tuple(json_to_vector(s) for s in states)
 
 
 def _floats(a) -> list:
@@ -138,15 +130,11 @@ def _write_sample_csv(path: str, rows: list[dict]) -> None:
 
 
 def cmd_classify(args, tol: ToleranceConfig) -> RunReport:
-    if args.samples < 0:
-        raise CliFailure(1, f"--samples must be nonnegative, got {args.samples}")
-    ch = _load_channel(args.channel, tol)
-    try:
-        pt = transfer(ch, tol)
-        tag = classify(ch, tol)
-    except (PqclabError, ValueError) as exc:
-        # ValueError: an atol below the rounding of the constructed set
-        raise _domain(exc) from exc
+    if not 0 <= args.samples <= MAX_SAMPLES:
+        raise CliFailure(1, f"--samples must lie in 0..{MAX_SAMPLES}, got {args.samples}")
+    ch = _parse(args.channel, "channel", lambda doc: channel_from_spec(doc, tol))
+    pt = transfer(ch, tol)
+    tag = classify(ch, tol)
     result = {
         "tag": tag.tag,
         "nullity": tag.nullity,
@@ -166,26 +154,16 @@ def cmd_classify(args, tol: ToleranceConfig) -> RunReport:
 
 
 def cmd_check_pqc(args, tol: ToleranceConfig) -> RunReport:
-    ch = _load_channel(args.channel, tol)
-    doc = _read_document(args.states)
-    if "states" not in doc or not isinstance(doc["states"], list) or not doc["states"]:
-        raise CliFailure(1, f"{args.states} must contain a nonempty 'states' array")
-    try:
-        states = [json_to_vector(s) for s in doc["states"]]
-    except SpecFormatError as exc:
-        raise CliFailure(1, f"bad states file {args.states}: {exc}") from exc
-    rho0 = _load_density(args.rho0, "rho0", tol)
-    try:
-        inst = PQCInstance(tuple(states), ch, rho0, tol)
-    except PqclabError as exc:
-        raise _domain(exc) from exc
-    report = is_pqc(inst, tol)
+    ch = _parse(args.channel, "channel", lambda doc: channel_from_spec(doc, tol))
+    states = _parse(args.states, "states", _states)
+    rho0 = _rho0(args.rho0, tol)
+    report = is_pqc(PQCInstance(states, ch, rho0, tol), tol)
     result = {"verdict": report.verdict, "residuals": [float(r) for r in report.residuals]}
     return RunReport("check-pqc", tol.atol, result, 0)
 
 
 def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
-    alg = _load_algebra(args.algebra, tol)
+    alg = _parse(args.algebra, "algebra", lambda doc: algebra_from_spec(doc, tol))
     result: dict
     if args.onb:
         try:
@@ -197,8 +175,6 @@ def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
                 {"no_trace_vectors": True, "blocks": [[m, n] for m, n in alg.blocks]},
                 0,
             )
-        except PqclabError as exc:
-            raise _domain(exc) from exc
         rho0 = DensityOperator(np.eye(alg.dim) / alg.dim, tol)
         gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
         worst = max(is_trace_vector(v, alg, rho0, tol).max_violation for v in vectors)
@@ -208,42 +184,26 @@ def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
             "max_violation": float(worst),
         }
     elif args.check:
-        doc = _read_document(args.check)
-        if "vector" not in doc:
-            raise CliFailure(1, f"{args.check} must contain a 'vector' array")
-        try:
-            v = json_to_vector(doc["vector"])
-        except SpecFormatError as exc:
-            raise CliFailure(1, f"bad vector file {args.check}: {exc}") from exc
+        v = _parse(args.check, "vector", lambda doc: json_to_vector(_require(doc, "vector")))
         rho0 = (
-            _load_density(args.rho0, "rho0", tol)
+            _rho0(args.rho0, tol)
             if args.rho0
             else DensityOperator(np.eye(alg.dim) / alg.dim, tol)
         )
-        try:
-            report = is_trace_vector(v, alg, rho0, tol)
-        except PqclabError as exc:
-            raise _domain(exc) from exc
+        report = is_trace_vector(v, alg, rho0, tol)
         result = {"passed": report.passed, "max_violation": float(report.max_violation)}
     elif args.rho0:
-        rho0 = _load_density(args.rho0, "rho0", tol)
-        try:
-            v = trace_vector_wrt(alg, rho0, tol)
-            report = is_trace_vector(v, alg, rho0, tol)
-        except PqclabError as exc:
-            raise _domain(exc) from exc
+        rho0 = _rho0(args.rho0, tol)
+        v = trace_vector_wrt(alg, rho0, tol)
+        report = is_trace_vector(v, alg, rho0, tol)
         result = {
             "vector": vector_to_json(v),
             "passed": report.passed,
             "max_violation": float(report.max_violation),
         }
     else:
-        try:
-            admits = has_trace_vector(alg)
-        except PqclabError as exc:
-            raise _domain(exc) from exc
         result = {
-            "has_trace_vector": admits,
+            "has_trace_vector": has_trace_vector(alg),
             "dim": alg.dim,
             "blocks": [[m, n] for m, n in alg.blocks],
         }
@@ -251,21 +211,15 @@ def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
 
 
 def cmd_condexp(args, tol: ToleranceConfig) -> RunReport:
-    alg = _load_algebra(args.algebra, tol)
-    try:
-        ch = condexp_channel(alg, tol)
-    except PqclabError as exc:
-        raise _domain(exc) from exc
+    alg = _parse(args.algebra, "algebra", lambda doc: algebra_from_spec(doc, tol))
+    ch = condexp_channel(alg, tol)
     result: dict = {"dim": alg.dim}
     if args.emit == "kraus":
         result["kraus"] = [matrix_to_json(k) for k in ch.kraus]
     elif args.emit == "choi":
         result["choi"] = matrix_to_json(choi(ch))
     elif args.emit == "transfer":
-        try:
-            pt = transfer(ch, tol)
-        except PqclabError as exc:
-            raise _domain(exc) from exc
+        pt = transfer(ch, tol)
         result["transfer"] = {"T": [_floats(r) for r in pt.T], "t": _floats(pt.t)}
     if args.verify:
         result["axioms"] = asdict(verify_condexp_axioms(ch, alg, tol))
@@ -388,11 +342,16 @@ def main(argv=None) -> int:
         tol = _resolve_tol(args)
         report = COMMANDS[args.command](args, tol)
     except CliFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    out = report.to_json() if args.format == "json" else _render_text(report)
-    sys.stdout.write(out)
-    return report.exit_code
+        code, message = exc.exit_code, str(exc)
+    except OSError as exc:  # writing --out; every input is read through _parse
+        code, message = 1, str(exc)
+    except (PqclabError, ValueError) as exc:  # raised once every input is built
+        code, message = 2, f"{type(exc).__name__}: {exc}"
+    else:
+        sys.stdout.write(report.to_json() if args.format == "json" else _render_text(report))
+        return report.exit_code
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ __all__ = [
     "as_cmatrix",
     "freeze",
     "tensor",
-    "direct_sum",
     "partial_trace",
     "nullspace_basis",
     "is_psd",
@@ -32,7 +31,6 @@ __all__ = [
     "max_abs_diff",
     "matrices_equal",
     "vec",
-    "unvec",
 ]
 
 
@@ -76,16 +74,6 @@ def freeze(a: np.ndarray) -> np.ndarray:
 def tensor(a, b) -> CMatrix:
     """Kronecker product of two matrices; output dimensions multiply."""
     return np.kron(as_cmatrix(a), as_cmatrix(b))
-
-
-def direct_sum(a, b) -> CMatrix:
-    """Block-diagonal matrix with ``a`` top-left and ``b`` bottom-right."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.complex128)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
 
 
 def partial_trace(x, dim_left: int, dim_right: int, side: str) -> CMatrix:
@@ -178,11 +166,3 @@ def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def vec(m) -> np.ndarray:
     """Row-major vectorization of a matrix."""
     return as_cmatrix(m).reshape(-1)
-
-
-def unvec(v, rows: int, cols: int) -> CMatrix:
-    """Inverse of :func:`vec` for the given shape."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"vector of size {v.size} is not {rows}x{cols}")
-    return v.reshape(rows, cols)

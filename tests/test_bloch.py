@@ -102,11 +102,6 @@ class TestTransfer:
         pt = transfer(DEPHASING)
         assert matrices_equal(pt.T, np.diag([0.0, 0.0, 1.0]))
 
-    def test_as_matrix_layout(self):
-        m = transfer(DEPHASING).as_matrix()
-        assert m.shape == (4, 4)
-        assert m[0, 0] == 1.0 and np.allclose(m[0, 1:], 0.0)
-
     @given(st.integers(0, 10**6))
     def test_affine_action_matches_channel(self, seed):
         rng = np.random.default_rng(seed)

@@ -3,14 +3,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pqclab
-from pqclab.cli import ENV_TOL, main
-from pqclab.io import matrix_to_json
+from pqclab import cli
+from pqclab.cli import ENV_TOL, MAX_SAMPLES, main
+from pqclab.io import NAMED_CHANNELS, matrix_to_json
 
 DEPHASING_DOC = {"kind": "named", "name": "dephasing_z"}
 IDENTITY_DOC = {"kind": "named", "name": "identity"}
@@ -34,8 +39,9 @@ def _clean_env(monkeypatch):
 @pytest.fixture
 def write_doc(tmp_path):
     def _write(name, doc):
+        # bytes are written as they are, anything else as a JSON document
         path = tmp_path / name
-        path.write_text(json.dumps(doc))
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         return str(path)
 
     return _write
@@ -109,6 +115,20 @@ class TestClassify:
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "classify", str(tmp_path / "absent.json"))
         assert code == 1
+
+    def test_samples_over_the_cap_exit_1_before_the_channel_is_loaded(
+        self, capsys, write_doc, monkeypatch
+    ):
+        def fail(*_args):
+            raise AssertionError("must not be called")
+
+        monkeypatch.setattr(cli, "channel_from_spec", fail)
+        monkeypatch.setattr(cli, "sample_private_states", fail)
+        path = write_doc("ch.json", DEPHASING_DOC)
+        code, out, err = run_cli(capsys, "classify", path, "--samples", str(MAX_SAMPLES + 1))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: --samples must lie in 0..{MAX_SAMPLES}")
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(DEPHASING_DOC)))
@@ -286,6 +306,27 @@ class TestTightTolerance:
         assert out == ""
         assert err.startswith("error: ValueError: antipodal states must be orthogonal")
 
+    # the maximally mixed state and the constructed vectors carry rounding
+    # errors of about 1e-16, which no atol of 1e-300 accepts
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["demo-frame"], id="demo-frame"),
+            pytest.param(["trace-vectors", {"blocks": [[1, 1]] * 7}, "--onb"], id="onb-seven-1x1"),
+            pytest.param(
+                ["trace-vectors", {"blocks": [[3, 1], [2, 2], [1, 1], [1, 1]]}, "--onb"],
+                id="onb-mixed-blocks",
+            ),
+        ],
+    )
+    def test_unreachable_atol_exits_2_without_traceback(self, capsys, write_doc, argv):
+        args = [write_doc("alg.json", a) if isinstance(a, dict) else a for a in argv]
+        code, out, err = run_cli(capsys, *args, "--tol", "1e-300")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
 
 class TestPlumbing:
     def test_text_format(self, capsys, write_doc):
@@ -349,8 +390,9 @@ HALF2 = {"rho0": matrix_to_json(np.eye(2) / 2)}
 
 
 class TestMalformedInput:
-    # dict arguments are written to files; every case must exit 1 with an
-    # error line, no traceback and nothing on stdout
+    # dict and bytes arguments are written to files and "{tmp}" in a string
+    # names the test's directory; every case must exit 1 with an error line,
+    # no traceback and nothing on stdout
     @pytest.mark.parametrize(
         "argv",
         [
@@ -388,14 +430,137 @@ class TestMalformedInput:
                  {"states": [[1, 0]]}, HALF2],
                 id="named-d-over-cap",
             ),
+            pytest.param(
+                ["classify", DEPHASING_DOC, "--samples", "3", "--out", "{tmp}/absent/x.csv"],
+                id="out-in-missing-directory",
+            ),
+            pytest.param(["classify", b"\xff\xfe{}"], id="channel-not-utf8"),
         ],
     )
-    def test_exits_1_without_traceback(self, capsys, write_doc, argv):
+    def test_exits_1_without_traceback(self, capsys, write_doc, tmp_path, argv):
         args = [
-            write_doc(f"doc{i}.json", a) if isinstance(a, dict) else a for i, a in enumerate(argv)
+            write_doc(f"doc{i}.json", a) if isinstance(a, (dict, bytes)) else a.format(tmp=tmp_path)
+            for i, a in enumerate(argv)
         ]
         code, out, err = run_cli(capsys, *args)
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+# Hostile documents: wrong types, NaN and +-inf, bools, ragged or empty
+# arrays, at most 4 entries per array, and channel dimensions up to 40.
+NUMBERS = st.one_of(
+    st.sampled_from([0, 1, -1, 0.5, 2]), st.floats(), st.booleans(), st.none(), st.just("1")
+)
+ENTRIES = st.one_of(NUMBERS, st.lists(NUMBERS, max_size=3))
+VECTORS = st.one_of(st.lists(ENTRIES, max_size=4), NUMBERS)
+MATRICES = st.one_of(st.lists(VECTORS, max_size=4), NUMBERS)
+DIMS = st.one_of(st.integers(-1, 40), NUMBERS)
+# two blocks of at most 3 x 3 keep d <= 18, so a --verify stays fast
+BLOCKS = st.lists(st.integers(-1, 3), min_size=2, max_size=2) | st.lists(NUMBERS, max_size=3)
+ALGEBRA_DOCS = st.fixed_dictionaries(
+    {"blocks": st.lists(BLOCKS, max_size=2) | NUMBERS},
+    optional={"zero_dim": st.integers(-1, 2) | NUMBERS, "basis_change": MATRICES},
+)
+CHANNEL_DOCS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("kraus"), "kraus": st.lists(MATRICES, max_size=3)}),
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("random_unitary"),
+            "probs": st.lists(NUMBERS, max_size=3),
+            "unitaries": st.lists(MATRICES, max_size=3),
+        }
+    ),
+    st.fixed_dictionaries({"kind": st.just("depolarizing"), "p": NUMBERS, "d": DIMS}),
+    st.fixed_dictionaries(
+        {"kind": st.just("named"), "name": st.sampled_from(NAMED_CHANNELS + ("none",))},
+        optional={"d": DIMS},
+    ),
+    st.fixed_dictionaries({"kind": st.just("condexp"), "algebra": ALGEBRA_DOCS}),
+    st.dictionaries(st.sampled_from(["kind", "kraus", "d"]), NUMBERS, max_size=2),
+)
+S = 1 / np.sqrt(2)
+# valid documents, so that the generated command lines also reach exit 0 and 2
+CHANNELS_OK = [DEPHASING_DOC, IDENTITY_DOC, AMP_DAMP_DOC, {"kind": "named", "name": "frame_n2"}]
+ALGEBRAS_OK = [DELTA2_DOC, FULL2_DOC, {"blocks": [[1, 1]], "zero_dim": 1}, {"blocks": [[2, 1]]}]
+STATES_OK = [{"states": [[[S, 0], [S, 0]]]}, {"states": [[1, 0]]}, {"states": [[1, 0, 0, 0]]}]
+VECTORS_OK = [{"vector": [[S, 0], [S, 0]]}, {"vector": [1, 0]}]
+RHO0_OK = [HALF2, {"rho0": matrix_to_json(np.diag([0.75, 0.25]))}]
+RAW_FILES = [b"\xff\xfe{}", b"", b"{", b"[]", b"null", b'"x"', b"[[1, 0]]"]
+
+
+def _contents(docs, valid):
+    """The bytes of a valid document half of the time, else of a hostile one."""
+    hostile = docs.map(lambda d: json.dumps(d).encode()) | st.sampled_from(RAW_FILES)
+    return st.sampled_from(valid).map(lambda d: json.dumps(d).encode()) | hostile
+
+
+@st.composite
+def invocations(draw):
+    """A command line for one of the five subcommands, with "{dir}" standing
+    for the directory its files go to, and the bytes of those files."""
+    files = {}
+
+    def file(docs, valid):
+        name = f"doc{len(files)}.json"
+        files[name] = draw(_contents(docs, valid))
+        return "{dir}/" + name
+
+    command = draw(st.sampled_from(["classify", "check-pqc", "trace-vectors", "condexp",
+                                    "demo-frame"]))
+    argv = [command]
+    if command == "classify":
+        samples = draw(st.sampled_from(["0", "3", "-1"]))
+        argv += [file(CHANNEL_DOCS, CHANNELS_OK), "--samples", samples]
+        if draw(st.booleans()):
+            argv += ["--out", draw(st.sampled_from(["{dir}/x.csv", "{dir}/absent/x.csv"]))]
+    elif command == "check-pqc":
+        argv += [
+            file(CHANNEL_DOCS, CHANNELS_OK),
+            file(st.fixed_dictionaries({"states": st.lists(VECTORS, max_size=3) | NUMBERS}),
+                 STATES_OK),
+            file(st.fixed_dictionaries({"rho0": MATRICES}), RHO0_OK),
+        ]
+    elif command == "trace-vectors":
+        argv.append(file(ALGEBRA_DOCS, ALGEBRAS_OK))
+        mode = draw(st.sampled_from(["bare", "onb", "check", "rho0", "both"]))
+        if mode == "onb":
+            argv.append("--onb")
+        if mode in ("check", "both"):
+            argv += ["--check", file(st.fixed_dictionaries({"vector": VECTORS}), VECTORS_OK)]
+        if mode in ("rho0", "both"):
+            argv += ["--rho0", file(st.fixed_dictionaries({"rho0": MATRICES}), RHO0_OK)]
+    elif command == "condexp":
+        argv += [file(ALGEBRA_DOCS, ALGEBRAS_OK), "--emit",
+                 draw(st.sampled_from(["kraus", "choi", "transfer"]))]
+        if draw(st.booleans()):
+            argv.append("--verify")
+    tol = draw(st.sampled_from([None, "1e-300", "0.5"]))
+    if tol is not None:
+        argv += ["--tol", tol]
+    return argv, files
+
+
+class TestExitContract:
+    @settings(max_examples=300, deadline=None)
+    @given(invocations())
+    def test_any_input_exits_0_1_or_2_with_strict_json_or_nothing(self, invocation):
+        argv, files = invocation
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in files.items():
+                Path(tmp, name).write_bytes(data)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([a.format(dir=tmp) for a in argv])
+        assert code in (0, 1, 2)
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:")

@@ -7,7 +7,6 @@ from pqclab.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_cmatrix,
-    direct_sum,
     hs_inner,
     is_hermitian,
     is_psd,
@@ -16,7 +15,6 @@ from pqclab.linalg import (
     nullspace_basis,
     partial_trace,
     tensor,
-    unvec,
     vec,
 )
 
@@ -51,20 +49,6 @@ class TestTensor:
         lhs = tensor(a, c) @ tensor(b, d)
         rhs = tensor(a @ b, c @ d)
         assert max_abs_diff(lhs, rhs) < 1e-12
-
-
-class TestDirectSum:
-    def test_identity_blocks(self):
-        assert matrices_equal(direct_sum(np.eye(1), np.eye(2)), np.eye(3))
-
-    def test_scalar_blocks(self):
-        out = direct_sum(np.array([[2.0]]), np.array([[3.0]]))
-        assert matrices_equal(out, np.diag([2.0, 3.0]))
-
-    def test_trace_is_additive(self):
-        a = _random_matrix(7, 3)
-        b = _random_matrix(8, 2)
-        assert abs(np.trace(direct_sum(a, b)) - np.trace(a) - np.trace(b)) < 1e-12
 
 
 class TestPartialTrace:
@@ -161,11 +145,6 @@ class TestHsInner:
 
 
 class TestVecUnvec:
-    @given(st.integers(0, 10**6))
-    def test_round_trip(self, seed):
-        x = _random_matrix(seed, 3)
-        assert matrices_equal(unvec(vec(x), 3, 3), x)
-
     def test_row_major_order(self):
         x = np.array([[1, 2], [3, 4]], dtype=complex)
         assert np.array_equal(vec(x), np.array([1, 2, 3, 4], dtype=complex))
