@@ -334,7 +334,8 @@ def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL)
     rho0 must itself lie in the algebra. Per block the condition pins the
     Gram matrix of the vector's (multiplicity x size) component matrix V to
     V^dag V = (block weight)^T, solved by an eigendecomposition square root
-    padded to m_i rows; a block weight of rank above m_i is infeasible.
+    padded to m_i rows. Ranks count eigenvalues above atol; a block weight
+    of rank above m_i is infeasible, and so is rank 0 in every block.
     """
     if not alg.is_unital:
         raise NotUnitalAlgebra("trace vectors with respect to a state require a unital algebra")
@@ -352,4 +353,6 @@ def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL)
             )
         comp = np.sqrt(lam[:rank]) * vecs[:, :rank].conj()  # column j is row j of V
         v += np.einsum("sa,asx->x", comp, g[:rank].conj())
+    if not v.any():
+        raise Infeasible(f"every block weight has rank 0 at the rank cutoff atol = {tol.atol:g}")
     return v / np.linalg.norm(v)

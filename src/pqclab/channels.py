@@ -1,9 +1,9 @@
 """Quantum channels in Kraus form: validation, named constructions,
 application, and representation conversions (Choi matrix, superoperator).
 
-A channel is stored as its Kraus operators K_i with sum_i K_i^dag K_i = 1.
-Kraus lists are not unique, so channel equality always means Choi-matrix
-equality, never Kraus-list equality.
+A channel is stored as one read-only (K, d_out, d_in) stack of its Kraus
+operators with sum_a K_a^dag K_a = 1. Kraus stacks are not unique, so
+channel equality always means Choi-matrix equality, never stack equality.
 """
 
 from __future__ import annotations
@@ -69,19 +69,34 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A CPTP map held as a tuple of Kraus operators (dim_out x dim_in each).
+    """A CPTP map held as one read-only Kraus stack of shape (K, dim_out, dim_in).
 
-    Construct through :func:`from_kraus` (or the named constructors built on
-    it), which enforce trace preservation; direct instantiation skips
-    validation and is reserved for internal use.
+    Construction checks the stack's shape, from which the dimensions are
+    read, and its finiteness. :func:`from_kraus` and the constructors built
+    on it also enforce trace preservation; use them outside this package.
     """
 
-    kraus: tuple[CMatrix, ...]
-    dim_in: int
-    dim_out: int
+    kraus: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "kraus", tuple(freeze(k) for k in self.kraus))
+        try:
+            ks = np.array(self.kraus, dtype=np.complex128, order="C")  # a row-major copy
+        except ValueError as exc:
+            raise DimensionMismatch(f"Kraus operators must share one shape: {exc}") from exc
+        if ks.ndim != 3 or ks.size == 0:
+            raise DimensionMismatch(f"need a nonempty (K, d_out, d_in) stack, got shape {ks.shape}")
+        if not np.all(np.isfinite(ks)):
+            raise ValueError("Kraus operators contain NaN or Inf entries")
+        ks.setflags(write=False)
+        object.__setattr__(self, "kraus", ks)
+
+    @property
+    def dim_in(self) -> int:
+        return self.kraus.shape[2]
+
+    @property
+    def dim_out(self) -> int:
+        return self.kraus.shape[1]
 
     def apply_matrix(self, x) -> CMatrix:
         """Linear action sum_i K_i x K_i^dag on an arbitrary square matrix."""
@@ -90,28 +105,22 @@ class Channel:
             raise DimensionMismatch(
                 f"channel expects {self.dim_in}x{self.dim_in} input, got {x.shape}"
             )
-        ks = np.stack(self.kraus)
-        return np.einsum("aij,jk,alk->il", ks, x, ks.conj())
+        return np.einsum("aij,jk,alk->il", self.kraus, x, self.kraus.conj())
 
 
 def from_kraus(kraus, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
-    """Validate a Kraus list and wrap it as a Channel.
-
-    Raises NotTracePreserving when sum K^dag K differs from the identity by
-    more than atol, DimensionMismatch on ragged or empty input.
+    """Validate a Kraus stack, a (K, d_out, d_in) array or a list of K
+    equal-shape matrices, and wrap it as a Channel. Raises NotTracePreserving
+    when sum K^dag K differs from the identity by more than atol, and
+    DimensionMismatch on ragged or empty input.
     """
-    ops = [as_cmatrix(k) for k in kraus]
-    if not ops:
-        raise DimensionMismatch("need at least one Kraus operator")
-    dim_out, dim_in = ops[0].shape
-    for k in ops:
-        if k.shape != (dim_out, dim_in):
-            raise DimensionMismatch(f"inconsistent Kraus shapes {k.shape} vs {(dim_out, dim_in)}")
-    total = sum(k.conj().T @ k for k in ops)
-    err = max_abs_diff(total, np.eye(dim_in))
+    ch = Channel(kraus)
+    # sum_a K_a^dag K_a is one product over the rows of all operators
+    flat = ch.kraus.reshape(-1, ch.dim_in)
+    err = max_abs_diff(flat.conj().T @ flat, np.eye(ch.dim_in))
     if err > tol.atol:
         raise NotTracePreserving(f"sum K^dag K deviates from identity by {err:.3e}")
-    return Channel(kraus=tuple(ops), dim_in=dim_in, dim_out=dim_out)
+    return ch
 
 
 def random_unitary(probs, unitaries, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -128,8 +137,7 @@ def random_unitary(probs, unitaries, tol: ToleranceConfig = DEFAULT_TOL) -> Chan
             raise DimensionMismatch(f"unitaries must share a square shape, got {u.shape}")
         if max_abs_diff(u.conj().T @ u, np.eye(d)) > tol.atol:
             raise NotUnitary("matrix fails U^dag U = 1 within atol")
-    ks = [np.sqrt(max(pi, 0.0)) * u for pi, u in zip(p, us)]
-    return from_kraus(ks, tol)
+    return from_kraus(np.sqrt(np.clip(p, 0.0, None))[:, None, None] * np.stack(us), tol)
 
 
 def depolarizing(p: float, d: int) -> Channel:
@@ -148,12 +156,11 @@ def depolarizing(p: float, d: int) -> Channel:
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d), 1, axis=0)
     phase = np.diag(omega ** np.arange(d))
-    ks = []
-    for a in range(d):
-        for b in range(d):
-            w = 1 - p + p / d**2 if a == 0 and b == 0 else p / d**2
-            ks.append(np.sqrt(w) * (np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(phase, b)))
-    return from_kraus(ks)
+    xs = np.array([np.linalg.matrix_power(shift, a) for a in range(d)])
+    zs = np.array([np.linalg.matrix_power(phase, b) for b in range(d)])
+    w = np.full(d * d, p / d**2)
+    w[0] = 1 - p + p / d**2
+    return from_kraus(np.sqrt(w)[:, None, None] * (xs[:, None] @ zs).reshape(-1, d, d))
 
 
 def convex_mix(weights, channels, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -164,10 +171,10 @@ def convex_mix(weights, channels, tol: ToleranceConfig = DEFAULT_TOL) -> Channel
         raise DimensionMismatch(f"{w.size} weights vs {len(chans)} channels")
     if np.any(w < -tol.atol) or abs(w.sum() - 1.0) > tol.atol:
         raise NotAProbabilityDistribution(f"weights {weights} are not a probability distribution")
-    ks = []
-    for wi, ch in zip(w, chans):
-        ks.extend(np.sqrt(max(wi, 0.0)) * k for k in ch.kraus)
-    return from_kraus(ks, tol)
+    if len({ch.kraus.shape[1:] for ch in chans}) != 1:
+        raise DimensionMismatch("mixed channels must share input and output dimensions")
+    ks = [np.sqrt(max(wi, 0.0)) * ch.kraus for wi, ch in zip(w, chans)]
+    return from_kraus(np.concatenate(ks), tol)
 
 
 def apply(ch: Channel, rho: DensityOperator, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
@@ -180,13 +187,13 @@ def apply(ch: Channel, rho: DensityOperator, tol: ToleranceConfig = DEFAULT_TOL)
 def choi(ch: Channel) -> CMatrix:
     """Choi matrix (id (x) ch) applied to the unnormalized maximally
     entangled matrix sum_kl E_kl (x) E_kl; PSD iff the map is CP."""
-    # row a of w is sum_k |k> (x) K_a|k> in row-major coordinates
-    w = np.stack(ch.kraus).transpose(0, 2, 1).reshape(len(ch.kraus), -1)
-    return w.T @ w.conj()
+    # J[(k, i), (l, j)] = S[(i, j), (k, l)]: a reshuffle of the superoperator
+    s = superoperator(ch).reshape(ch.dim_out, ch.dim_out, ch.dim_in, ch.dim_in)
+    return s.transpose(2, 0, 3, 1).reshape(ch.dim_in * ch.dim_out, -1)
 
 
 def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
-    """Extract a minimal Kraus list from a Choi matrix via eigendecomposition.
+    """Extract a minimal Kraus stack from a Choi matrix via eigendecomposition.
 
     Eigenvalues below atol are dropped; the result is re-validated through
     from_kraus, so a non-CP or non-TP input fails loudly.
@@ -195,29 +202,28 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT
     if j.shape != (dim_in * dim_out, dim_in * dim_out):
         raise DimensionMismatch(f"Choi matrix shape {j.shape} vs dims ({dim_in}, {dim_out})")
     evals, evecs = np.linalg.eigh((j + j.conj().T) / 2)
-    ks = []
-    for lam, v in zip(evals, evecs.T):
-        if lam > tol.atol:
-            ks.append(np.sqrt(lam) * v.reshape(dim_in, dim_out).T)
-    return from_kraus(ks, tol)
+    keep = evals > tol.atol
+    # eigenvector v, indexed (k, i), gives the Kraus operator K[i, k] = sqrt(lam) v[(k, i)]
+    ks = (np.sqrt(evals[keep]) * evecs[:, keep]).T.reshape(-1, dim_in, dim_out)
+    return from_kraus(ks.transpose(0, 2, 1), tol)
 
 
 def superoperator(ch: Channel) -> CMatrix:
     """Matrix of the channel action on row-major vectorized inputs:
     vec(ch(X)) = S vec(X)."""
-    d_in, d_out = ch.dim_in, ch.dim_out
     # sum_a K_a (x) conj(K_a): entry ((i, j), (k, l)) is sum_a K_a[i, k] conj(K_a[j, l])
-    ks = np.stack(ch.kraus).reshape(len(ch.kraus), -1)
-    s = (ks.T @ ks.conj()).reshape(d_out, d_in, d_out, d_in)
-    return s.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
+    ks = ch.kraus.reshape(len(ch.kraus), -1)
+    s = (ks.T @ ks.conj()).reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
+    return s.transpose(0, 2, 1, 3).reshape(ch.dim_out**2, ch.dim_in**2)
 
 
 def compose(a: Channel, b: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
     """Channel running ``a`` first and ``b`` second."""
     if a.dim_out != b.dim_in:
         raise DimensionMismatch(f"cannot chain {a.dim_out}-dim output into {b.dim_in}-dim input")
-    ks = [kb @ ka for kb in b.kraus for ka in a.kraus]
-    return from_kraus(ks, tol)
+    # operator (p, q) is K^b_p K^a_q, with the b index outermost
+    ks = b.kraus[:, None] @ a.kraus[None, :]
+    return from_kraus(ks.reshape(-1, b.dim_out, a.dim_in), tol)
 
 
 def is_unital(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -55,7 +55,6 @@ from .io import (
     json_to_matrix,
     json_to_vector,
     matrix_to_json,
-    vector_to_json,
 )
 from .linalg import ToleranceConfig
 
@@ -77,8 +76,9 @@ class CliFailure(Exception):
 def _parse(path: str, what: str, build):
     """Read the JSON object in ``path`` ("-" for stdin) and return ``build(doc)``.
 
-    Anything that fails on the way, reading, decoding or building, is an
-    input error (exit 1) naming the file.
+    Anything that fails on the way, reading, decoding (including nesting
+    too deep for the decoder, a RecursionError) or building, is an input
+    error (exit 1) naming the file.
     """
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
@@ -86,7 +86,7 @@ def _parse(path: str, what: str, build):
         if not isinstance(doc, dict):
             raise SpecFormatError("top-level value must be an object")
         return build(doc)
-    except (OSError, ValueError, PqclabError) as exc:
+    except (OSError, ValueError, RecursionError, PqclabError) as exc:
         raise CliFailure(1, f"bad {what} file {path}: {exc}") from exc
 
 
@@ -112,7 +112,7 @@ def _ket_row(ket: np.ndarray) -> dict:
     return {
         "theta": float(np.arccos(np.clip(r[2], -1.0, 1.0))),
         "bloch": _floats(r),
-        "amplitudes": vector_to_json(ket),
+        "amplitudes": matrix_to_json(ket),
     }
 
 
@@ -142,7 +142,7 @@ def cmd_classify(args, tol: ToleranceConfig) -> RunReport:
         "t": _floats(pt.t),
     }
     if isinstance(tag, AntipodalPair):
-        result["states"] = [vector_to_json(s) for s in tag.states]
+        result["states"] = matrix_to_json(tag.states)
     if isinstance(tag, GreatCircle):
         result["normal"] = _floats(tag.normal)
     if args.samples:
@@ -150,7 +150,7 @@ def cmd_classify(args, tol: ToleranceConfig) -> RunReport:
         result["samples"] = rows
         if args.out:
             _write_sample_csv(args.out, rows)
-    return RunReport("classify", tol.atol, result, 0)
+    return RunReport("classify", tol.atol, result)
 
 
 def cmd_check_pqc(args, tol: ToleranceConfig) -> RunReport:
@@ -159,7 +159,7 @@ def cmd_check_pqc(args, tol: ToleranceConfig) -> RunReport:
     rho0 = _rho0(args.rho0, tol)
     report = is_pqc(PQCInstance(states, ch, rho0, tol), tol)
     result = {"verdict": report.verdict, "residuals": [float(r) for r in report.residuals]}
-    return RunReport("check-pqc", tol.atol, result, 0)
+    return RunReport("check-pqc", tol.atol, result)
 
 
 def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
@@ -173,13 +173,12 @@ def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
                 "trace-vectors",
                 tol.atol,
                 {"no_trace_vectors": True, "blocks": [[m, n] for m, n in alg.blocks]},
-                0,
             )
         rho0 = DensityOperator(np.eye(alg.dim) / alg.dim, tol)
         gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
         worst = max(is_trace_vector(v, alg, rho0, tol).max_violation for v in vectors)
         result = {
-            "onb": [vector_to_json(v) for v in vectors],
+            "onb": matrix_to_json(vectors),
             "gram_deviation": float(np.max(np.abs(gram - np.eye(alg.dim)))),
             "max_violation": float(worst),
         }
@@ -197,7 +196,7 @@ def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
         v = trace_vector_wrt(alg, rho0, tol)
         report = is_trace_vector(v, alg, rho0, tol)
         result = {
-            "vector": vector_to_json(v),
+            "vector": matrix_to_json(v),
             "passed": report.passed,
             "max_violation": float(report.max_violation),
         }
@@ -207,7 +206,7 @@ def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
             "dim": alg.dim,
             "blocks": [[m, n] for m, n in alg.blocks],
         }
-    return RunReport("trace-vectors", tol.atol, result, 0)
+    return RunReport("trace-vectors", tol.atol, result)
 
 
 def cmd_condexp(args, tol: ToleranceConfig) -> RunReport:
@@ -215,7 +214,7 @@ def cmd_condexp(args, tol: ToleranceConfig) -> RunReport:
     ch = condexp_channel(alg, tol)
     result: dict = {"dim": alg.dim}
     if args.emit == "kraus":
-        result["kraus"] = [matrix_to_json(k) for k in ch.kraus]
+        result["kraus"] = matrix_to_json(ch.kraus)
     elif args.emit == "choi":
         result["choi"] = matrix_to_json(choi(ch))
     elif args.emit == "transfer":
@@ -223,7 +222,7 @@ def cmd_condexp(args, tol: ToleranceConfig) -> RunReport:
         result["transfer"] = {"T": [_floats(r) for r in pt.T], "t": _floats(pt.t)}
     if args.verify:
         result["axioms"] = asdict(verify_condexp_axioms(ch, alg, tol))
-    return RunReport("condexp", tol.atol, result, 0)
+    return RunReport("condexp", tol.atol, result)
 
 
 def cmd_demo_frame(args, tol: ToleranceConfig) -> RunReport:
@@ -237,13 +236,13 @@ def cmd_demo_frame(args, tol: ToleranceConfig) -> RunReport:
     verdict = is_pqc(PQCInstance((v,), ch, rho0, tol), tol)
     result = {
         "axioms": asdict(axioms),
-        "vector": vector_to_json(v),
+        "vector": matrix_to_json(v),
         "triplet_weight": weight,
         "singlet_weight": float(1.0 - weight),
         "is_pqc": verdict.verdict,
         "residuals": [float(r) for r in verdict.residuals],
     }
-    return RunReport("demo-frame", tol.atol, result, 0)
+    return RunReport("demo-frame", tol.atol, result)
 
 
 def _render_text(report: RunReport) -> str:
@@ -263,7 +262,7 @@ def _render_text(report: RunReport) -> str:
 
     for key, val in report.result.items():
         walk(val, "", key)
-    lines.append(f"exit_code: {report.exit_code}")
+    lines.append("exit_code: 0")
     return "\n".join(lines) + "\n"
 
 
@@ -349,7 +348,7 @@ def main(argv=None) -> int:
         code, message = 2, f"{type(exc).__name__}: {exc}"
     else:
         sys.stdout.write(report.to_json() if args.format == "json" else _render_text(report))
-        return report.exit_code
+        return 0
     print(f"error: {message}", file=sys.stderr)
     return code
 

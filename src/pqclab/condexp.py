@@ -105,16 +105,17 @@ def condexp_channel(alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Cha
     Built in closed form from the commutant's matrix units: block i gives
     the m_i^2 Kraus operators m_i^{-1/2} U^dag (E_ab (x) 1_{n_i}) U, with
     (a, b) in row-major order, so there are sum_i m_i^2 of them. Like any
-    Kraus list it is fixed only up to Choi equality. Non-unital algebras
+    Kraus stack it is fixed only up to Choi equality. Non-unital algebras
     are rejected: dropping the zero summand loses trace.
     """
     if not alg.is_unital:
         raise NotUnitalAlgebra("the projection onto a non-unital algebra is not trace preserving")
-    ks = []
-    for (m, _), g in zip(alg.blocks, alg._grids()):
-        k = np.einsum("asx,bsy->abxy", g.conj(), g) * np.sqrt(1.0 / m)
-        ks.extend(k.reshape(m * m, alg.dim, alg.dim))
-    return from_kraus(ks, tol)
+    blocks = (
+        np.einsum("asx,bsy->abxy", g.conj(), g).reshape(m * m, alg.dim, alg.dim) * np.sqrt(1.0 / m)
+        for (m, _), g in zip(alg.blocks, alg._grids())
+    )
+    # the per-block list is freed once concatenated, before from_kraus copies the stack
+    return from_kraus(np.concatenate(list(blocks)), tol)
 
 
 def verify_condexp_axioms(

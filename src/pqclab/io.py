@@ -23,8 +23,6 @@ from .linalg import DEFAULT_TOL, ToleranceConfig
 __all__ = [
     "SpecFormatError",
     "RunReport",
-    "complex_to_json",
-    "vector_to_json",
     "matrix_to_json",
     "json_to_vector",
     "json_to_matrix",
@@ -49,18 +47,11 @@ class SpecFormatError(PqclabError):
     """Input document does not match the documented schema."""
 
 
-def complex_to_json(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def vector_to_json(v) -> list[list[float]]:
-    return [complex_to_json(z) for z in np.asarray(v).reshape(-1)]
-
-
-def matrix_to_json(m) -> list[list[list[float]]]:
-    m = np.asarray(m)
-    return [[complex_to_json(z) for z in row] for row in m]
+def matrix_to_json(m) -> list:
+    """Encode a complex array of any rank as nested lists of [re, im] pairs
+    (a scalar gives one pair, a matrix rows of pairs)."""
+    a = np.asarray(m, dtype=np.complex128)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _json_real(x) -> float:
@@ -187,8 +178,8 @@ def channel_from_spec(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
 
 
 def channel_to_spec(ch: Channel) -> dict:
-    """Serialize any channel through its Kraus list (the universal kind)."""
-    return {"kind": "kraus", "kraus": [matrix_to_json(k) for k in ch.kraus]}
+    """Serialize any channel through its Kraus stack (the universal kind)."""
+    return {"kind": "kraus", "kraus": matrix_to_json(ch.kraus)}
 
 
 @dataclass(frozen=True)
@@ -198,13 +189,13 @@ class RunReport:
     command: str
     tolerance: float
     result: dict
-    exit_code: int
 
     def to_json(self) -> str:
+        # a report is only written for a completed run, so its exit code is 0
         doc = {
             "command": self.command,
             "tolerance": self.tolerance,
             "result": self.result,
-            "exit_code": self.exit_code,
+            "exit_code": 0,
         }
         return json.dumps(doc, indent=2) + "\n"

@@ -7,13 +7,61 @@ Choi matrix and its eigendecomposition), and the superoperator, Choi and
 projection matrices and the bimodule violation are built by the plain
 loops over Kraus operators, basis elements and basis pairs, so tests can
 cross-check the closed forms and products the library uses against them.
+compose, convex_mix, depolarizing and kraus_from_choi are rebuilt as the
+Python lists of Kraus operators, one operator at a time, that the
+library's single-array forms replace.
 """
 
 import numpy as np
 
 from pqclab.algebras import canonical_basis
-from pqclab.channels import kraus_from_choi
-from pqclab.linalg import partial_trace, tensor
+from pqclab.channels import from_kraus, kraus_from_choi
+from pqclab.linalg import DEFAULT_TOL, partial_trace, tensor
+from pqclab.rand import haar_unitary
+
+
+def isometry_channel(d_in, d_out, count, rng):
+    """Kraus operators cut from the first d_in columns of a Haar unitary."""
+    v = haar_unitary(count * d_out, rng)[:, :d_in]
+    return from_kraus(v.reshape(count, d_out, d_in))
+
+
+def reference_compose(a, b):
+    """K^b_p K^a_q for every pair, p outermost, one product per pair."""
+    return from_kraus([kb @ ka for kb in b.kraus for ka in a.kraus])
+
+
+def reference_convex_mix(weights, channels):
+    """sqrt(w_c) K^c_a, channel by channel, operator by operator."""
+    ks = []
+    for w, ch in zip(weights, channels):
+        ks.extend(np.sqrt(max(w, 0.0)) * k for k in ch.kraus)
+    return from_kraus(ks)
+
+
+def reference_depolarizing(p, d):
+    """sqrt(w_ab) X^a Z^b for every (a, b), a outermost, one product each."""
+    omega = np.exp(2j * np.pi / d)
+    shift = np.roll(np.eye(d), 1, axis=0)
+    phase = np.diag(omega ** np.arange(d))
+    ks = []
+    for a in range(d):
+        for b in range(d):
+            w = 1 - p + p / d**2 if a == 0 and b == 0 else p / d**2
+            x_a, z_b = np.linalg.matrix_power(shift, a), np.linalg.matrix_power(phase, b)
+            ks.append(np.sqrt(w) * (x_a @ z_b))
+    return from_kraus(ks)
+
+
+def reference_kraus_from_choi(j, dim_in, dim_out, tol=DEFAULT_TOL):
+    """sqrt(lam) times each eigenvector above atol, reshaped and transposed
+    one at a time, in ascending eigenvalue order."""
+    evals, evecs = np.linalg.eigh((j + j.conj().T) / 2)
+    ks = []
+    for lam, v in zip(evals, evecs.T):
+        if lam > tol.atol:
+            ks.append(np.sqrt(lam) * v.reshape(dim_in, dim_out).T)
+    return from_kraus(ks, tol)
 
 
 def reference_projection(alg, x):

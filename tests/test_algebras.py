@@ -26,7 +26,15 @@ from pqclab.errors import (
     NotUnitVector,
     Rho0NotInAlgebra,
 )
-from pqclab.linalg import hs_inner, matrices_equal, max_abs_diff, partial_trace, tensor, vec
+from pqclab.linalg import (
+    ToleranceConfig,
+    hs_inner,
+    matrices_equal,
+    max_abs_diff,
+    partial_trace,
+    tensor,
+    vec,
+)
 from pqclab.rand import haar_unitary, random_block_algebra, random_unit_vector
 from reference import reference_projection
 
@@ -342,6 +350,11 @@ class TestTraceVectorWrt:
     def test_full_matrix_algebra_mixed_state_is_infeasible(self):
         with pytest.raises(Infeasible):
             trace_vector_wrt(FULL2, MIXED2)
+
+    def test_no_rank_above_the_cutoff_is_infeasible(self):
+        # both block weights of I/2 are 0.5, which atol = 0.5 does not count
+        with pytest.raises(Infeasible, match="rank cutoff atol = 0.5"):
+            trace_vector_wrt(DELTA2, np.eye(2) / 2, ToleranceConfig(0.5))
 
     def test_rejects_states_outside_the_algebra(self):
         off = np.array([[0.5, 0.4], [0.4, 0.5]], dtype=complex)

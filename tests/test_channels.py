@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqclab.algebras import AlgebraSpec
 from pqclab.channels import (
+    Channel,
     DensityOperator,
     apply,
     channels_equal,
@@ -17,6 +21,7 @@ from pqclab.channels import (
     random_unitary,
     superoperator,
 )
+from pqclab.condexp import condexp_channel
 from pqclab.errors import (
     DimensionMismatch,
     NotAProbabilityDistribution,
@@ -25,6 +30,13 @@ from pqclab.errors import (
 )
 from pqclab.linalg import is_psd, matrices_equal, max_abs_diff, vec
 from pqclab.rand import random_density, random_ru_channel
+from reference import (
+    isometry_channel,
+    reference_compose,
+    reference_convex_mix,
+    reference_depolarizing,
+    reference_kraus_from_choi,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -222,3 +234,123 @@ class TestCptpInvariants:
         ch = from_kraus([np.eye(2)])
         with pytest.raises(ValueError):
             ch.kraus[0][0, 0] = 5.0
+
+
+# rectangular channels 3 -> 5 and 5 -> 4, from Haar isometries
+RECT_35 = isometry_channel(3, 5, 2, np.random.default_rng(35))
+RECT_54 = isometry_channel(5, 4, 3, np.random.default_rng(54))
+SX5 = np.roll(np.eye(5), 1, axis=0)  # the cyclic shift on C^5
+
+
+class TestKrausStack:
+    """Every channel holds one read-only (K, dim_out, dim_in) complex stack."""
+
+    @pytest.mark.parametrize(
+        "make, dims",
+        [
+            pytest.param(lambda: from_kraus([np.eye(2)]), (2, 2), id="from_kraus"),
+            pytest.param(lambda: RECT_35, (3, 5), id="from_kraus-3-to-5"),
+            pytest.param(lambda: DEPHASING, (2, 2), id="random_unitary"),
+            pytest.param(lambda: depolarizing(0.5, 3), (3, 3), id="depolarizing"),
+            pytest.param(
+                lambda: convex_mix([0.25, 0.75], [RECT_35, compose(RECT_35, from_kraus([SX5]))]),
+                (3, 5),
+                id="convex_mix-3-to-5",
+            ),
+            pytest.param(lambda: compose(DEPHASING, from_kraus([SX])), (2, 2), id="compose"),
+            pytest.param(lambda: compose(RECT_35, RECT_54), (3, 4), id="compose-3-to-4"),
+            pytest.param(
+                lambda: kraus_from_choi(choi(DEPHASING), 2, 2), (2, 2), id="kraus_from_choi"
+            ),
+            pytest.param(
+                lambda: kraus_from_choi(choi(RECT_35), 3, 5), (3, 5), id="kraus_from_choi-3-to-5"
+            ),
+            pytest.param(
+                lambda: condexp_channel(AlgebraSpec(((2, 1), (1, 2)))), (4, 4), id="condexp_channel"
+            ),
+        ],
+    )
+    def test_constructors_return_a_read_only_stack_that_gives_the_dimensions(self, make, dims):
+        ch = make()
+        assert [f.name for f in dataclasses.fields(ch)] == ["kraus"]
+        assert isinstance(ch.kraus, np.ndarray)
+        assert ch.kraus.dtype == np.complex128 and ch.kraus.ndim == 3
+        assert ch.kraus.flags.c_contiguous and not ch.kraus.flags.writeable
+        assert (ch.dim_in, ch.dim_out) == dims
+        assert ch.kraus.shape[1:] == (ch.dim_out, ch.dim_in)
+        with pytest.raises(ValueError):
+            ch.kraus[0, 0, 0] = 5.0
+
+    def test_dimensions_cannot_disagree_with_the_operators(self):
+        # the shape is the only source of the dimensions
+        ch = Channel((np.eye(2),))
+        assert (ch.dim_in, ch.dim_out) == (2, 2)
+        with pytest.raises(TypeError):
+            Channel((np.eye(2),), 3, 5)
+        with pytest.raises(DimensionMismatch):
+            Channel(np.eye(2))
+
+    def test_from_kraus_copies_its_input(self):
+        ks = np.stack([np.eye(2), np.zeros((2, 2))]).astype(np.complex128)
+        ch = from_kraus(ks)
+        ks[0] = SX
+        assert matrices_equal(ch.kraus[0], np.eye(2))
+
+    @pytest.mark.parametrize(
+        "kraus, error",
+        [
+            pytest.param([], DimensionMismatch, id="empty-list"),
+            pytest.param(np.zeros((0, 2, 2)), DimensionMismatch, id="empty-stack"),
+            pytest.param(np.eye(2), DimensionMismatch, id="one-matrix-not-a-stack"),
+            pytest.param([[[np.nan, 0], [0, 1]]], ValueError, id="nan-entry"),
+        ],
+    )
+    def test_from_kraus_rejects_malformed_stacks(self, kraus, error):
+        with pytest.raises(error):
+            from_kraus(kraus)
+
+
+class TestListReferences:
+    """The single-array compose, convex_mix, depolarizing and kraus_from_choi
+    against the operator-by-operator lists they replace (tests/reference.py):
+    the same operators in the same order, so the same channel."""
+
+    @staticmethod
+    def _same(ch, ref):
+        assert ch.kraus.shape == ref.kraus.shape
+        assert max_abs_diff(ch.kraus.reshape(-1), ref.kraus.reshape(-1)) < 1e-12
+        assert channels_equal(ch, ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compose(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_ru_channel(3, 2, rng), random_ru_channel(3, 4, rng)
+        self._same(compose(a, b), reference_compose(a, b))
+        c35, c54 = isometry_channel(3, 5, 2, rng), isometry_channel(5, 4, 3, rng)
+        self._same(compose(c35, c54), reference_compose(c35, c54))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_convex_mix(self, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(3))
+        chans = [isometry_channel(3, 5, k, rng) for k in (1, 2, 3)]
+        self._same(convex_mix(w, chans), reference_convex_mix(w, chans))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_depolarizing_is_bit_identical(self, d):
+        # every entry is one product of a permutation and a phase, so the
+        # batched products must reproduce the loop exactly
+        for p in (1.0, 0.5, 0.05):
+            ch, ref = depolarizing(p, d), reference_depolarizing(p, d)
+            assert ch.kraus.tobytes() == ref.kraus.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kraus_from_choi(self, seed):
+        rng = np.random.default_rng(seed)
+        for ch, d_in, d_out in (
+            (random_ru_channel(3, 2, rng), 3, 3),
+            (isometry_channel(3, 5, 2, rng), 3, 5),
+            (isometry_channel(5, 4, 3, rng), 5, 4),
+        ):
+            j = choi(ch)
+            self._same(kraus_from_choi(j, d_in, d_out), reference_kraus_from_choi(j, d_in, d_out))

@@ -247,6 +247,16 @@ class TestTraceVectors:
         assert code == 2
         assert "Infeasible" in err
 
+    def test_wrt_mode_with_no_rank_above_the_cutoff_exits_2(self, capsys, write_doc):
+        # both block weights of I/2 are 0.5, which --tol 0.5 does not count
+        rho = write_doc("rho0.json", {"rho0": matrix_to_json(np.eye(2) / 2)})
+        alg = write_doc("alg.json", DELTA2_DOC)
+        code, out, err = run_cli(capsys, "trace-vectors", alg, "--rho0", rho, "--tol", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Infeasible:")
+        assert "rank cutoff" in err
+
 
 class TestCondexp:
     def test_choi_emission(self, capsys, write_doc):
@@ -389,6 +399,9 @@ NAN, INF = float("nan"), float("inf")
 HALF2 = {"rho0": matrix_to_json(np.eye(2) / 2)}
 
 
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
 class TestMalformedInput:
     # dict and bytes arguments are written to files and "{tmp}" in a string
     # names the test's directory; every case must exit 1 with an error line,
@@ -435,6 +448,11 @@ class TestMalformedInput:
                 id="out-in-missing-directory",
             ),
             pytest.param(["classify", b"\xff\xfe{}"], id="channel-not-utf8"),
+            # nesting deeper than the JSON decoder's recursion limit
+            pytest.param(["classify", DEEP], id="deeply-nested-document"),
+            pytest.param(
+                ["classify", b'{"kind": "kraus", "kraus": ' + DEEP + b"}"], id="deeply-nested-kraus"
+            ),
         ],
     )
     def test_exits_1_without_traceback(self, capsys, write_doc, tmp_path, argv):

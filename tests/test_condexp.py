@@ -41,6 +41,7 @@ from pqclab.errors import (
 from pqclab.linalg import hs_inner, matrices_equal, max_abs_diff, partial_trace, tensor
 from pqclab.rand import haar_unitary, random_block_algebra, random_ru_channel, random_unit_vector
 from reference import (
+    isometry_channel,
     reference_bimodule,
     reference_choi,
     reference_condexp,
@@ -217,12 +218,6 @@ def _haar_algebra(blocks, zero_dim, rng):
     return AlgebraSpec(blocks, zero_dim, haar_unitary(d, rng))
 
 
-def _isometry_channel(d_in, d_out, count, rng):
-    """Kraus operators cut from the first d_in columns of a Haar unitary."""
-    v = haar_unitary(count * d_out, rng)[:, :d_in]
-    return from_kraus(v.reshape(count, d_out, d_in))
-
-
 class TestLoopReferences:
     """The single-product matrices and the linear-in-K bimodule check against
     the loop constructions they replace (tests/reference.py)."""
@@ -235,8 +230,8 @@ class TestLoopReferences:
         for ch in (
             condexp_channel(alg),
             random_ru_channel(d, 3, rng),
-            _isometry_channel(d, d - 1, 2, rng),
-            _isometry_channel(d - 1, d, 3, rng),
+            isometry_channel(d, d - 1, 2, rng),
+            isometry_channel(d - 1, d, 3, rng),
         ):
             assert max_abs_diff(superoperator(ch), reference_superoperator(ch)) < 1e-12
             assert max_abs_diff(choi(ch), reference_choi(ch)) < 1e-12

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,21 +16,37 @@ from pqclab.io import (
     algebra_to_spec,
     channel_from_spec,
     channel_to_spec,
-    complex_to_json,
     json_to_matrix,
     json_to_vector,
     matrix_to_json,
-    vector_to_json,
 )
 from pqclab.algebras import diagonal_algebra
 from pqclab.linalg import matrices_equal
 from pqclab.rand import haar_unitary, random_ru_channel
 
 
+def _per_operator_json(stack):
+    """The encoding of a Kraus stack one operator and one entry at a time."""
+    return [[[[float(z.real), float(z.imag)] for z in row] for row in k] for k in stack]
+
+
 class TestScalarEncoding:
-    def test_complex_pairs(self):
-        assert complex_to_json(1 + 2j) == [1.0, 2.0]
-        assert complex_to_json(3.0) == [3.0, 0.0]
+    def test_matrix_to_json_encodes_any_rank(self):
+        # rank 0: a complex number, a bare real and a bare int give one pair of floats
+        assert matrix_to_json(1 + 2j) == [1.0, 2.0]
+        assert matrix_to_json(3.0) == [3.0, 0.0]
+        pair = matrix_to_json(2)
+        assert pair == [2.0, 0.0] and all(type(x) is float for x in pair)
+        # the sign of a zero survives in both parts
+        assert [math.copysign(1.0, x) for x in matrix_to_json(complex(-0.0, -0.0))] == [-1, -1]
+        # rank 1 and 2
+        assert matrix_to_json(np.array([1j, -2.5])) == [[0.0, 1.0], [-2.5, 0.0]]
+        assert matrix_to_json(np.eye(2)) == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        # rank 3: a Kraus stack, byte for byte as the per-operator encoding
+        for ch in (collective_noise_channel_n2()[0], depolarizing(0.3, 3)):
+            want = json.dumps(_per_operator_json(ch.kraus))
+            assert json.dumps(matrix_to_json(ch.kraus)) == want
+            assert json.dumps(channel_to_spec(ch)["kraus"]) == want
 
     def test_accepts_bare_reals_on_input(self):
         v = json_to_vector([1, [0, -1]])
@@ -62,7 +79,7 @@ class TestScalarEncoding:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.allclose(json_to_vector(vector_to_json(v)), v)
+        assert np.allclose(json_to_vector(matrix_to_json(v)), v)
         assert matrices_equal(json_to_matrix(matrix_to_json(m)), m)
 
 
@@ -209,12 +226,13 @@ class TestAlgebraSpecs:
 
 class TestRunReport:
     def test_stable_key_order_and_trailing_newline(self):
-        report = RunReport("classify", 1e-9, {"tag": "Empty"}, 0)
+        report = RunReport("classify", 1e-9, {"tag": "Empty"})
         text = report.to_json()
         assert text.endswith("\n")
-        keys = list(json.loads(text).keys())
-        assert keys == ["command", "tolerance", "result", "exit_code"]
+        doc = json.loads(text)
+        assert list(doc.keys()) == ["command", "tolerance", "result", "exit_code"]
+        assert doc["exit_code"] == 0
 
     def test_deterministic(self):
-        report = RunReport("demo-frame", 1e-9, {"x": 1.25}, 0)
+        report = RunReport("demo-frame", 1e-9, {"x": 1.25})
         assert report.to_json() == report.to_json()
