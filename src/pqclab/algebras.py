@@ -137,6 +137,11 @@ class AlgebraSpec:
             self._cache["basis"] = np.concatenate(mats, axis=0)
         return self._cache["basis"]
 
+    def _basis_weights(self) -> np.ndarray:
+        """1/m_i for each of the n_i^2 basis elements of block i, the inverse
+        squared Hilbert-Schmidt norms of the canonical basis."""
+        return np.repeat([1.0 / m for m, _ in self.blocks], [n * n for _, n in self.blocks])
+
 
 def diagonal_algebra(d: int, basis_change=None) -> AlgebraSpec:
     """The algebra of diagonal d x d matrices."""
@@ -186,8 +191,7 @@ def projection_superoperator(alg: AlgebraSpec) -> CMatrix:
     """
     if "proj_superop" not in alg._cache:
         flat = alg._basis_stack().reshape(alg.num_basis, -1)
-        weight = np.repeat([1.0 / m for m, _ in alg.blocks], [n * n for _, n in alg.blocks])
-        alg._cache["proj_superop"] = (flat.T * weight) @ flat.conj()
+        alg._cache["proj_superop"] = (flat.T * alg._basis_weights()) @ flat.conj()
     return alg._cache["proj_superop"]
 
 

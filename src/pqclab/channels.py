@@ -187,9 +187,14 @@ def apply(ch: Channel, rho: DensityOperator, tol: ToleranceConfig = DEFAULT_TOL)
 def choi(ch: Channel) -> CMatrix:
     """Choi matrix (id (x) ch) applied to the unnormalized maximally
     entangled matrix sum_kl E_kl (x) E_kl; PSD iff the map is CP."""
-    # J[(k, i), (l, j)] = S[(i, j), (k, l)]: a reshuffle of the superoperator
-    s = superoperator(ch).reshape(ch.dim_out, ch.dim_out, ch.dim_in, ch.dim_in)
-    return s.transpose(2, 0, 3, 1).reshape(ch.dim_in * ch.dim_out, -1)
+    return _choi_from_superoperator(superoperator(ch), ch.dim_in, ch.dim_out)
+
+
+def _choi_from_superoperator(s: np.ndarray, dim_in: int, dim_out: int) -> CMatrix:
+    """The Choi matrix as a reshuffle of the superoperator,
+    J[(k, i), (l, j)] = S[(i, j), (k, l)]."""
+    s = s.reshape(dim_out, dim_out, dim_in, dim_in)
+    return s.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, -1)
 
 
 def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:

@@ -20,9 +20,14 @@ from .algebras import (
     AlgebraSpec,
     _state_in_algebra,
     is_trace_vector,
-    projection_superoperator,
 )
-from .channels import Channel, DensityOperator, choi, from_kraus, superoperator
+from .channels import (
+    Channel,
+    DensityOperator,
+    _choi_from_superoperator,
+    from_kraus,
+    superoperator,
+)
 from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector
 from .linalg import DEFAULT_TOL, ToleranceConfig, freeze, is_psd, max_abs_diff, vec
 
@@ -76,7 +81,9 @@ class AxiomReport:
     algebra; the P makes maps whose output leaves the algebra fail here,
     and it is the identity on any algebra-valued map. Both within atol
     imply E(b1 a b2) = b1 P(E(a)) b2 for all basis pairs (see
-    verify_condexp_axioms). positive: Choi matrix PSD.
+    verify_condexp_axioms). positive: the Choi matrix is PSD, decided from
+    the eigenvalues of the Kraus Gram matrix or of the Choi matrix,
+    whichever is smaller; the two have the same nonzero spectrum.
     trace_preserving: max trace deviation on matrix units.
     """
 
@@ -124,8 +131,12 @@ def verify_condexp_axioms(
     """Measure how far a channel is from being the conditional expectation
     onto the given algebra.
 
-    The subalgebra axiom is checked on the canonical basis, positivity
-    through the Choi matrix, and trace preservation on all matrix units.
+    The subalgebra axiom is checked on the canonical basis and trace
+    preservation on all matrix units. Positivity is decided from the
+    eigenvalues of the smaller of two matrices with the same nonzero
+    spectrum: the K x K Gram matrix of the vectorised Kraus operators when
+    K <= d^2, the d^2 x d^2 Choi matrix otherwise. With F the d^2 x K matrix
+    of vectorised Kraus operators they are F^dag F and J = F F^dag.
 
     The bimodule axiom E(b1 X b2) = b1 P(E(X)) b2 is checked one side at a
     time. With S the superoperator of E, P that of the projection onto the
@@ -141,7 +152,7 @@ def verify_condexp_axioms(
     basis elements), so the verdict is that of the joint check over all
     basis pairs, at 2K instead of K^2 products. The reported bimodule
     value is the larger of the left and right violations. L_b and R_b act
-    as index maps on the reshaped superoperator, one matrix product each.
+    as index maps on permuted copies of S and P S, one matrix product each.
     """
     n = alg.dim
     if ch.dim_in != n or ch.dim_out != n:
@@ -152,21 +163,24 @@ def verify_condexp_axioms(
     flat = basis.reshape(alg.num_basis, -1)
     fixes = float(np.max(np.abs(flat @ s.T - flat)))
 
+    # P S = sum_k vec(b_k) (vec(b_k)^dag S) / m_k, from the algebra's own basis
+    ps = (flat.T * alg._basis_weights()) @ (flat.conj() @ s)
     # rows of S and PS are indexed (i, j) by output matrix units, columns
-    # (k, l) by input ones; each product below contracts one of the four
-    # indices with b and lands in that same (i, j, k, l) order
-    ps = projection_superoperator(alg) @ s
-    s_ij_k_l, s_ijk_l = s.reshape(n * n, n, n), s.reshape(-1, n)
-    ps_i_jkl, ps_i_j_kl = ps.reshape(n, -1), ps.reshape(n, n, n * n)
-    bimodule = 0.0
-    for b in basis:
-        # S L_b: sum_k' S[ij, k'l] b[k', k];  L_b P S: sum_i' b[i, i'] PS[i'j, kl]
-        left = max_abs_diff((b.T @ s_ij_k_l).ravel(), (b @ ps_i_jkl).ravel())
-        # S R_b: sum_l' S[ij, kl'] b[l, l'];  R_b P S: sum_j' b[j', j] PS[ij', kl]
-        right = max_abs_diff((s_ijk_l @ b.T).ravel(), (b.T @ ps_i_j_kl).ravel())
-        bimodule = max(bimodule, left, right)
+    # (k, l) by input ones. Left, S L_b = L_b P S:
+    #   sum_k' S[ijk'l] b[k'k]  vs  sum_i' b[ii'] PS[i'jkl], in (i, j, l, k) order;
+    # right, S R_b = R_b P S:
+    #   sum_l' S[ijkl'] b[ll']  vs  sum_j' b[j'j] PS[ij'kl], in (j, i, k, l) order.
+    # one side at a time, so that one pair of permuted copies is alive at once
+    bimodule = max(
+        _module_violation(s, ps, basis, (0, 1, 3, 2), transpose=False),
+        _module_violation(s, ps, basis, (1, 0, 2, 3), transpose=True),
+    )
 
-    positive = is_psd(choi(ch), tol)
+    ks = ch.kraus.reshape(len(ch.kraus), -1)
+    if len(ks) <= n * n:
+        positive = is_psd(ks @ ks.conj().T, tol)
+    else:
+        positive = is_psd(_choi_from_superoperator(s, n, n), tol)
 
     tr_row = vec(np.eye(n)).conj() @ s
     trace_pres = float(np.max(np.abs(tr_row - vec(np.eye(n)).conj())))
@@ -175,6 +189,22 @@ def verify_condexp_axioms(
         fixes <= tol.atol and bimodule <= tol.atol and positive and trace_pres <= tol.atol
     )
     return AxiomReport(fixes, bimodule, positive, trace_pres, passed)
+
+
+def _module_violation(s, ps, basis, perm, transpose: bool) -> float:
+    """max over b of |S' c - c PS'|, where S' and PS' are the (i, j, k, l)
+    tensors of S and PS permuted by ``perm`` into (n^3, n) and (n, n^3)
+    matrices, and c is b, or b^T when ``transpose``."""
+    n = basis.shape[1]
+    s_rows = np.ascontiguousarray(s.reshape(n, n, n, n).transpose(perm)).reshape(-1, n)
+    ps_cols = np.ascontiguousarray(ps.reshape(n, n, n, n).transpose(perm)).reshape(n, -1)
+    worst = 0.0
+    for b in basis:
+        c = b.T if transpose else b
+        lhs = s_rows @ c
+        lhs -= (c @ ps_cols).reshape(lhs.shape)
+        worst = max(worst, float(np.abs(lhs).max()))
+    return worst
 
 
 def is_pqc(inst: PQCInstance, tol: ToleranceConfig = DEFAULT_TOL) -> PqcReport:

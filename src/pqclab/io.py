@@ -36,10 +36,11 @@ __all__ = [
 
 NAMED_CHANNELS = ("identity", "completely_depolarizing", "dephasing_z", "frame_n2")
 
-# Largest d a depolarizing or named channel document may ask for. A
-# depolarizing channel has d^2 Kraus operators of size d x d, so its memory
-# grows as d^4 (16 MB at d = 32); the cap keeps a hostile document from
-# requesting an unbounded allocation.
+# Largest d a depolarizing or named channel document, or the sum of an
+# algebra document's blocks, may ask for. A depolarizing channel has d^2
+# Kraus operators of size d x d, and the axiom check of an algebra builds
+# d^2 x d^2 superoperators, so memory grows as d^4 (16 MB at d = 32); the cap
+# keeps a hostile document from requesting an unbounded allocation.
 MAX_CHANNEL_DIM = 32
 
 
@@ -116,6 +117,11 @@ def algebra_from_spec(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraS
         (_json_int(m, "block multiplicity"), _json_int(n, "block size")) for m, n in raw_blocks
     )
     zero_dim = _json_int(obj.get("zero_dim", 0), "zero_dim")
+    d = sum(m * n for m, n in blocks) + zero_dim
+    if d > MAX_CHANNEL_DIM:
+        raise SpecFormatError(
+            f"algebra dimension sum m*n + zero_dim must be at most {MAX_CHANNEL_DIM}, got {d}"
+        )
     raw_u = obj.get("basis_change")
     u = None if raw_u is None else json_to_matrix(raw_u)
     try:

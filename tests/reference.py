@@ -7,6 +7,8 @@ Choi matrix and its eigendecomposition), and the superoperator, Choi and
 projection matrices and the bimodule violation are built by the plain
 loops over Kraus operators, basis elements and basis pairs, so tests can
 cross-check the closed forms and products the library uses against them.
+reference_axioms is the axiom check in computational coordinates with
+batched small products and positivity from the full Choi matrix.
 compose, convex_mix, depolarizing and kraus_from_choi are rebuilt as the
 Python lists of Kraus operators, one operator at a time, that the
 library's single-array forms replace.
@@ -14,9 +16,10 @@ library's single-array forms replace.
 
 import numpy as np
 
-from pqclab.algebras import canonical_basis
-from pqclab.channels import from_kraus, kraus_from_choi
-from pqclab.linalg import DEFAULT_TOL, partial_trace, tensor
+from pqclab.algebras import canonical_basis, projection_superoperator
+from pqclab.channels import choi, from_kraus, kraus_from_choi, superoperator
+from pqclab.condexp import AxiomReport
+from pqclab.linalg import DEFAULT_TOL, is_psd, max_abs_diff, partial_trace, tensor, vec
 from pqclab.rand import haar_unitary
 
 
@@ -135,3 +138,31 @@ def reference_bimodule(ch, alg):
             m = np.kron(b1, b2.T)
             worst = max(worst, float(np.max(np.abs(s @ m - m @ ps))))
     return worst
+
+
+def reference_axioms(ch, alg, tol=DEFAULT_TOL):
+    """The AxiomReport of ch against alg: the one-sided module checks as
+    n^2 small products per basis element against the full P S, positivity
+    from the eigenvalues of the d^2 x d^2 Choi matrix."""
+    n = alg.dim
+    s = superoperator(ch)
+    basis = alg._basis_stack()
+    flat = basis.reshape(alg.num_basis, -1)
+    fixes = float(np.max(np.abs(flat @ s.T - flat)))
+
+    ps = projection_superoperator(alg) @ s
+    s_ij_k_l, s_ijk_l = s.reshape(n * n, n, n), s.reshape(-1, n)
+    ps_i_jkl, ps_i_j_kl = ps.reshape(n, -1), ps.reshape(n, n, n * n)
+    bimodule = 0.0
+    for b in basis:
+        # S L_b: sum_k' S[ij, k'l] b[k', k];  L_b P S: sum_i' b[i, i'] PS[i'j, kl]
+        left = max_abs_diff((b.T @ s_ij_k_l).ravel(), (b @ ps_i_jkl).ravel())
+        # S R_b: sum_l' S[ij, kl'] b[l, l'];  R_b P S: sum_j' b[j', j] PS[ij', kl]
+        right = max_abs_diff((s_ijk_l @ b.T).ravel(), (b.T @ ps_i_j_kl).ravel())
+        bimodule = max(bimodule, left, right)
+
+    positive = is_psd(choi(ch), tol)
+    tr_row = vec(np.eye(n)).conj() @ s
+    trace_pres = float(np.max(np.abs(tr_row - vec(np.eye(n)).conj())))
+    passed = fixes <= tol.atol and bimodule <= tol.atol and positive and trace_pres <= tol.atol
+    return AxiomReport(fixes, bimodule, positive, trace_pres, passed)

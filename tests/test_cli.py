@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import pqclab
 from pqclab import cli
 from pqclab.cli import ENV_TOL, MAX_SAMPLES, main
-from pqclab.io import NAMED_CHANNELS, matrix_to_json
+from pqclab.io import MAX_CHANNEL_DIM, NAMED_CHANNELS, matrix_to_json
 
 DEPHASING_DOC = {"kind": "named", "name": "dephasing_z"}
 IDENTITY_DOC = {"kind": "named", "name": "identity"}
@@ -285,6 +285,12 @@ class TestCondexp:
         ]
         assert doc["result"]["axioms"]["passed"] is True
 
+    def test_algebra_at_the_dimension_cap_is_accepted(self, capsys, write_doc):
+        doc_in = {"blocks": [[MAX_CHANNEL_DIM, 1]]}
+        code, out, _ = run_cli(capsys, "trace-vectors", write_doc("alg.json", doc_in))
+        assert code == 0
+        assert json.loads(out)["result"]["dim"] == MAX_CHANNEL_DIM
+
     def test_non_unital_algebra_exits_2(self, capsys, write_doc):
         doc_in = {"blocks": [[1, 1]], "zero_dim": 1}
         code, _, err = run_cli(capsys, "condexp", write_doc("alg.json", doc_in))
@@ -442,6 +448,12 @@ class TestMalformedInput:
                 ["check-pqc", {"kind": "named", "name": "completely_depolarizing", "d": 33},
                  {"states": [[1, 0]]}, HALF2],
                 id="named-d-over-cap",
+            ),
+            pytest.param(["condexp", {"blocks": [[3000, 1]]}, "--verify"], id="huge-algebra"),
+            pytest.param(["condexp", {"blocks": [[33, 1]]}, "--verify"], id="algebra-over-cap"),
+            pytest.param(
+                ["condexp", {"blocks": [[1, 1]], "zero_dim": 40}, "--verify"],
+                id="zero-dim-over-cap",
             ),
             pytest.param(
                 ["classify", DEPHASING_DOC, "--samples", "3", "--out", "{tmp}/absent/x.csv"],

@@ -24,6 +24,7 @@ from pqclab.channels import (
     random_unitary,
     superoperator,
 )
+from pqclab import channels, condexp
 from pqclab.condexp import (
     PQCInstance,
     collective_noise_channel_n2,
@@ -42,6 +43,7 @@ from pqclab.linalg import hs_inner, matrices_equal, max_abs_diff, partial_trace,
 from pqclab.rand import haar_unitary, random_block_algebra, random_ru_channel, random_unit_vector
 from reference import (
     isometry_channel,
+    reference_axioms,
     reference_bimodule,
     reference_choi,
     reference_condexp,
@@ -261,6 +263,51 @@ class TestLoopReferences:
             assert report.passed is expected
             assert (report.bimodule <= 1e-9) is expected
             assert (reference_bimodule(ch, target) <= 1e-9) is expected
+
+    @pytest.mark.parametrize("blocks", UNITAL_SHAPES)
+    def test_axiom_report_matches_batched_reference(self, blocks):
+        rng = np.random.default_rng(7 + sum(m * n * (i + 2) for i, (m, n) in enumerate(blocks)))
+        alg = _haar_algebra(blocks, 0, rng)
+        other = _haar_algebra(blocks, 0, rng)
+        d = alg.dim
+        e = condexp_channel(alg)
+        flip = random_unitary([1.0], [haar_unitary(d, rng)])
+        # 2 d^2 Kraus operators, more than d^2: positivity from the Choi matrix
+        noisy = convex_mix([0.5, 0.5], [depolarizing(0.3, d), depolarizing(0.8, d)])
+        assert len(noisy.kraus) > d * d >= len(e.kraus)
+        cases = [
+            (e, alg, True),
+            (e, other, False),
+            (convex_mix([1 - 1e-3, 1e-3], [e, flip]), alg, False),
+            (convex_mix([1 - 1e-13, 1e-13], [e, flip]), alg, True),
+            (noisy, alg, False),
+        ]
+        for ch, target, expected in cases:
+            report = verify_condexp_axioms(ch, target)
+            want = reference_axioms(ch, target)
+            assert report.passed is want.passed is expected
+            assert report.positive is want.positive is True
+            for name in ("fixes_subalgebra", "bimodule", "trace_preserving"):
+                assert abs(getattr(report, name) - getattr(want, name)) <= 1e-12, name
+
+    def test_one_superoperator_and_no_choi_per_check(self, monkeypatch):
+        calls = {"superoperator": 0, "choi": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name, fn in (("superoperator", channels.superoperator), ("choi", channels.choi)):
+            monkeypatch.setattr(channels, name, counted(name, fn))
+            monkeypatch.setattr(condexp, name, counted(name, fn), raising=False)
+        alg = _haar_algebra(((2, 2), (1, 1)), 0, np.random.default_rng(5))
+        for ch in (condexp_channel(alg), convex_mix([0.5, 0.5], [depolarizing(0.5, 5)] * 2)):
+            calls.update(superoperator=0, choi=0)
+            assert verify_condexp_axioms(ch, alg).positive
+            assert calls == {"superoperator": 1, "choi": 0}
 
 
 class TestIsPqc:

@@ -223,6 +223,26 @@ class TestAlgebraSpecs:
         with pytest.raises(SpecFormatError):
             algebra_from_spec(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"blocks": [[3000, 1]]},
+            {"blocks": [[MAX_CHANNEL_DIM + 1, 1]]},
+            {"blocks": [[1, 1]], "zero_dim": 40},
+        ],
+    )
+    def test_dimension_over_the_cap_is_rejected_before_building(self, doc, monkeypatch):
+        def build(*args):
+            raise AssertionError("an algebra was built")
+
+        monkeypatch.setattr(pqclab_io, "AlgebraSpec", build)
+        with pytest.raises(SpecFormatError, match=f"at most {MAX_CHANNEL_DIM}"):
+            algebra_from_spec(doc)
+
+    def test_dimension_at_the_cap_is_accepted(self):
+        alg = algebra_from_spec({"blocks": [[MAX_CHANNEL_DIM, 1]]})
+        assert alg.dim == MAX_CHANNEL_DIM
+
 
 class TestRunReport:
     def test_stable_key_order_and_trailing_newline(self):
