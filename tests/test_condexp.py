@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqclab import channels, condexp
 from pqclab.algebras import (
     AlgebraSpec,
     diagonal_algebra,
@@ -24,7 +25,6 @@ from pqclab.channels import (
     random_unitary,
     superoperator,
 )
-from pqclab import channels, condexp
 from pqclab.condexp import (
     PQCInstance,
     collective_noise_channel_n2,
