@@ -16,6 +16,7 @@ basis suffices by linearity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +74,6 @@ class AlgebraSpec:
     zero_dim: int = 0
     basis_change: CMatrix | None = None
     tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple((int(m), int(n)) for m, n in self.blocks)
@@ -111,31 +111,29 @@ class AlgebraSpec:
             offs.append(offs[-1] + m * n)
         return offs
 
+    @cached_property
     def _grids(self) -> list[np.ndarray]:
         """Per block i: the rows of U for that block, shaped (m_i, n_i, dim).
 
         Everything downstream (basis, projection, checks) is an einsum over
         these tensors, which keeps repeated queries on one algebra cheap.
         """
-        if "grids" not in self._cache:
-            offs = self.block_offsets()
-            u = self.basis_change
-            self._cache["grids"] = [
-                u[offs[i] : offs[i + 1], :].reshape(m, n, self.dim)
-                for i, (m, n) in enumerate(self.blocks)
-            ]
-        return self._cache["grids"]
+        offs = self.block_offsets()
+        return [
+            self.basis_change[offs[i] : offs[i + 1], :].reshape(m, n, self.dim)
+            for i, (m, n) in enumerate(self.blocks)
+        ]
 
+    @cached_property
     def _basis_stack(self) -> np.ndarray:
         """All canonical basis elements stacked as an array (K, dim, dim)."""
-        if "basis" not in self._cache:
-            mats = []
-            for g in self._grids():
-                # element (s, t) is sum_a |row(a,s)><row(a,t)| in U coordinates
-                e = np.einsum("asx,aty->stxy", g.conj(), g)
-                mats.append(e.reshape(-1, self.dim, self.dim))
-            self._cache["basis"] = np.concatenate(mats, axis=0)
-        return self._cache["basis"]
+        # element (s, t) of block i is sum_a |row(a,s)><row(a,t)| in U coordinates
+        return np.concatenate(
+            [
+                np.einsum("asx,aty->stxy", g.conj(), g).reshape(-1, self.dim, self.dim)
+                for g in self._grids
+            ]
+        )
 
     def _basis_weights(self) -> np.ndarray:
         """1/m_i for each of the n_i^2 basis elements of block i, the inverse
@@ -161,7 +159,7 @@ def full_matrix_algebra(d: int, basis_change=None) -> AlgebraSpec:
 def canonical_basis(alg: AlgebraSpec) -> list[CMatrix]:
     """The sum_i n_i^2 matrices U^dag (1_{m_i} (x) E_st) U, block by block,
     E_st in row-major order; a linear basis of the algebra."""
-    return [freeze(b) for b in alg._basis_stack()]
+    return [freeze(b) for b in alg._basis_stack]
 
 
 def project_onto_algebra(alg: AlgebraSpec, x) -> CMatrix:
@@ -175,7 +173,7 @@ def project_onto_algebra(alg: AlgebraSpec, x) -> CMatrix:
     if x.shape != (d, d):
         raise DimensionMismatch(f"expected {d}x{d}, got {x.shape}")
     out = np.zeros((d, d), dtype=np.complex128)
-    for (m, _), g in zip(alg.blocks, alg._grids()):
+    for (m, _), g in zip(alg.blocks, alg._grids):
         w = np.einsum("asx,xy,aty->st", g, x, g.conj()) / m
         out += np.einsum("asx,st,aty->xy", g.conj(), w, g)
     return out
@@ -189,10 +187,8 @@ def projection_superoperator(alg: AlgebraSpec) -> CMatrix:
     sum of rank-one superoperators sum_k vec(b_k) vec(b_k)^dag / m_k over
     it, formed as one product of the stacked basis with its conjugate.
     """
-    if "proj_superop" not in alg._cache:
-        flat = alg._basis_stack().reshape(alg.num_basis, -1)
-        alg._cache["proj_superop"] = (flat.T * alg._basis_weights()) @ flat.conj()
-    return alg._cache["proj_superop"]
+    flat = alg._basis_stack.reshape(alg.num_basis, -1)
+    return (flat.T * alg._basis_weights()) @ flat.conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,10 +237,10 @@ def is_trace_vector(v, alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TO
     if not (abs(nrm - 1.0) <= tol.atol):
         raise NotUnitVector(f"vector norm {nrm} is not 1 within atol")
     state = _as_state(rho0, alg.dim, tol)
-    basis = alg._basis_stack()
+    basis = alg._basis_stack
     lhs = np.einsum("kij,i,j->k", basis, v.conj(), v)
     rhs = np.einsum("kij,ji->k", basis, state.mat)
-    violation = float(np.max(np.abs(lhs - rhs))) if basis.size else 0.0
+    violation = float(np.max(np.abs(lhs - rhs)))
     return TraceVectorReport(v, state, violation, violation <= tol.atol)
 
 
@@ -254,9 +250,9 @@ def is_separating(v, alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL) -> bo
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size != alg.dim:
         raise DimensionMismatch(f"vector length {v.size} vs algebra dimension {alg.dim}")
-    images = np.einsum("kij,j->ik", alg._basis_stack(), v)
+    images = np.einsum("kij,j->ik", alg._basis_stack, v)
     s = np.linalg.svd(images, compute_uv=False)
-    cutoff = tol.atol * max(float(s[0]) if s.size else 0.0, 1.0)
+    cutoff = tol.atol * max(float(s[0]), 1.0)
     return int(np.sum(s > cutoff)) == alg.num_basis
 
 
@@ -345,7 +341,7 @@ def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL)
         raise NotUnitalAlgebra("trace vectors with respect to a state require a unital algebra")
     state = _state_in_algebra(alg, rho0, tol)
     v = np.zeros(alg.dim, dtype=np.complex128)
-    for i, ((m, _), g) in enumerate(zip(alg.blocks, alg._grids())):
+    for i, ((m, _), g) in enumerate(zip(alg.blocks, alg._grids)):
         w = np.einsum("asx,xy,aty->st", g, state.mat, g.conj())  # = m * (block weight of rho0)
         lam, vecs = np.linalg.eigh((w.T + w.conj()) / 2)
         order = np.argsort(lam)[::-1]

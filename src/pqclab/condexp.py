@@ -75,15 +75,16 @@ class AxiomReport:
     """Worst-case violations of the conditional expectation axioms.
 
     fixes_subalgebra: max deviation of E(b) from b over the canonical basis.
-    bimodule: the larger of the left and right module violations, the max
-    deviations of E(b a) from b P(E(a)) and of E(a b) from P(E(a)) b over
-    basis elements b and all matrix units a, where P projects onto the
-    algebra; the P makes maps whose output leaves the algebra fail here,
-    and it is the identity on any algebra-valued map. Both within atol
-    imply E(b1 a b2) = b1 P(E(a)) b2 for all basis pairs (see
-    verify_condexp_axioms). positive: the Choi matrix is PSD, decided from
-    the eigenvalues of the Kraus Gram matrix or of the Choi matrix,
-    whichever is smaller; the two have the same nonzero spectrum.
+    bimodule: the left module violation, the max deviation of E(b a) from
+    b P(E(a)) over basis elements b and all matrix units a, where P
+    projects onto the algebra; it equals the right module violation (of
+    E(a b) from P(E(a)) b) for every Kraus channel. The P makes maps whose
+    output leaves the algebra fail here, and it is the identity on any
+    algebra-valued map. Within atol it implies E(b1 a b2) = b1 P(E(a)) b2
+    for all basis pairs (see verify_condexp_axioms). positive: the Choi
+    matrix is PSD, decided from the eigenvalues of the Kraus Gram matrix
+    or of the Choi matrix, whichever is smaller; the two have the same
+    nonzero spectrum.
     trace_preserving: max trace deviation on matrix units.
     """
 
@@ -119,7 +120,7 @@ def condexp_channel(alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Cha
         raise NotUnitalAlgebra("the projection onto a non-unital algebra is not trace preserving")
     blocks = (
         np.einsum("asx,bsy->abxy", g.conj(), g).reshape(m * m, alg.dim, alg.dim) * np.sqrt(1.0 / m)
-        for (m, _), g in zip(alg.blocks, alg._grids())
+        for (m, _), g in zip(alg.blocks, alg._grids)
     )
     # the per-block list is freed once concatenated, before from_kraus copies the stack
     return from_kraus(np.concatenate(list(blocks)), tol)
@@ -138,43 +139,53 @@ def verify_condexp_axioms(
     K <= d^2, the d^2 x d^2 Choi matrix otherwise. With F the d^2 x K matrix
     of vectorised Kraus operators they are F^dag F and J = F F^dag.
 
-    The bimodule axiom E(b1 X b2) = b1 P(E(X)) b2 is checked one side at a
-    time. With S the superoperator of E, P that of the projection onto the
-    algebra, L_b = b (x) 1 and R_b = 1 (x) b^T (so vec(bX) = L_b vec(X) and
-    vec(Xb) = R_b vec(X)), the left and right module identities
+    The bimodule axiom E(b1 X b2) = b1 P(E(X)) b2 is checked on the left
+    side only. With S the superoperator of E, P that of the projection onto
+    the algebra, L_b = b (x) 1 and R_b = 1 (x) b^T (so vec(bX) = L_b vec(X)
+    and vec(Xb) = R_b vec(X)):
 
-        S L_b = L_b P S,    S R_b = R_b P S    for every basis element b
+    1. The left module identity S L_b = L_b P S, that is
+       E(bX) = b P(E(X)), is checked for every basis element b.
+    2. By adjoint symmetry it implies the right one, E(Xb) = P(E(X)) b:
+       E(Xb) = E(b^dag X^dag)^dag = (b^dag P(E(X^dag)))^dag = P(E(X)) b.
+       This uses E(Y^dag) = E(Y)^dag, which holds because a Channel is a
+       Kraus stack (sum_a K_a Y^dag K_a^dag), P(Y^dag) = P(Y)^dag, and a
+       basis closed under ^dag. So the right residual at (b, X) is the
+       adjoint of the left one at (b^dag, X^dag), and over all basis
+       elements and matrix units the two maxima are equal.
+    3. The two imply the joint identity: S L_b1 R_b2 = L_b1 P S R_b2
+       = L_b1 P R_b2 P S, and P R_b2 P = R_b2 P because P(Y) b2 already
+       lies in the algebra, which is closed under multiplication. So
+       S L_b1 R_b2 = L_b1 R_b2 P S. For a unital algebra the converse holds
+       too (take b1 or b2 = 1, a sum of basis elements), so the verdict is
+       that of the joint check over all basis pairs, at K instead of K^2
+       products.
 
-    imply the joint one: S L_b1 R_b2 = L_b1 P S R_b2 = L_b1 P R_b2 P S, and
-    P R_b2 P = R_b2 P because P(Y) b2 already lies in the algebra, which is
-    closed under multiplication. So S L_b1 R_b2 = L_b1 R_b2 P S. For a
-    unital algebra the converse holds too (take b1 or b2 = 1, a sum of
-    basis elements), so the verdict is that of the joint check over all
-    basis pairs, at 2K instead of K^2 products. The reported bimodule
-    value is the larger of the left and right violations. L_b and R_b act
-    as index maps on permuted copies of S and P S, one matrix product each.
+    L_b acts as an index map on permuted copies of S and P S, one matrix
+    product each.
     """
     n = alg.dim
     if ch.dim_in != n or ch.dim_out != n:
         raise DimensionMismatch(f"channel dims ({ch.dim_in}, {ch.dim_out}) vs algebra dim {n}")
     s = superoperator(ch)
-    basis = alg._basis_stack()
+    basis = alg._basis_stack
 
     flat = basis.reshape(alg.num_basis, -1)
     fixes = float(np.max(np.abs(flat @ s.T - flat)))
 
-    # P S = sum_k vec(b_k) (vec(b_k)^dag S) / m_k, from the algebra's own basis
-    ps = (flat.T * alg._basis_weights()) @ (flat.conj() @ s)
     # rows of S and PS are indexed (i, j) by output matrix units, columns
-    # (k, l) by input ones. Left, S L_b = L_b P S:
-    #   sum_k' S[ijk'l] b[k'k]  vs  sum_i' b[ii'] PS[i'jkl], in (i, j, l, k) order;
-    # right, S R_b = R_b P S:
-    #   sum_l' S[ijkl'] b[ll']  vs  sum_j' b[j'j] PS[ij'kl], in (j, i, k, l) order.
-    # one side at a time, so that one pair of permuted copies is alive at once
-    bimodule = max(
-        _module_violation(s, ps, basis, (0, 1, 3, 2), transpose=False),
-        _module_violation(s, ps, basis, (1, 0, 2, 3), transpose=True),
-    )
+    # (k, l) by input ones. S L_b = L_b P S reads
+    #   sum_k' S[ijk'l] b[k'k]  vs  sum_i' b[ii'] PS[i'jkl], in (i, j, l, k) order.
+    # S' is S with its columns in (l, k) order, and P S' = (P S)' is
+    # sum_k vec(b_k) (vec(b_k)^dag S') / m_k, from the algebra's own basis
+    s_perm = np.ascontiguousarray(s.reshape(n * n, n, n).transpose(0, 2, 1)).reshape(n * n, -1)
+    ps_cols = ((flat.T * alg._basis_weights()) @ (flat.conj() @ s_perm)).reshape(n, -1)
+    s_rows = s_perm.reshape(-1, n)
+    bimodule = 0.0
+    for b in basis:
+        lhs = s_rows @ b
+        lhs -= (b @ ps_cols).reshape(lhs.shape)
+        bimodule = max(bimodule, float(np.abs(lhs).max()))
 
     ks = ch.kraus.reshape(len(ch.kraus), -1)
     if len(ks) <= n * n:
@@ -189,22 +200,6 @@ def verify_condexp_axioms(
         fixes <= tol.atol and bimodule <= tol.atol and positive and trace_pres <= tol.atol
     )
     return AxiomReport(fixes, bimodule, positive, trace_pres, passed)
-
-
-def _module_violation(s, ps, basis, perm, transpose: bool) -> float:
-    """max over b of |S' c - c PS'|, where S' and PS' are the (i, j, k, l)
-    tensors of S and PS permuted by ``perm`` into (n^3, n) and (n, n^3)
-    matrices, and c is b, or b^T when ``transpose``."""
-    n = basis.shape[1]
-    s_rows = np.ascontiguousarray(s.reshape(n, n, n, n).transpose(perm)).reshape(-1, n)
-    ps_cols = np.ascontiguousarray(ps.reshape(n, n, n, n).transpose(perm)).reshape(n, -1)
-    worst = 0.0
-    for b in basis:
-        c = b.T if transpose else b
-        lhs = s_rows @ c
-        lhs -= (c @ ps_cols).reshape(lhs.shape)
-        worst = max(worst, float(np.abs(lhs).max()))
-    return worst
 
 
 def is_pqc(inst: PQCInstance, tol: ToleranceConfig = DEFAULT_TOL) -> PqcReport:

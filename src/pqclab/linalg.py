@@ -22,14 +22,11 @@ __all__ = [
     "DEFAULT_TOL",
     "as_cmatrix",
     "freeze",
-    "tensor",
     "partial_trace",
     "nullspace_basis",
     "is_psd",
     "is_hermitian",
-    "hs_inner",
     "max_abs_diff",
-    "matrices_equal",
     "vec",
 ]
 
@@ -71,11 +68,6 @@ def freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def tensor(a, b) -> CMatrix:
-    """Kronecker product of two matrices; output dimensions multiply."""
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
-
-
 def partial_trace(x, dim_left: int, dim_right: int, side: str) -> CMatrix:
     """Trace out one tensor factor of a square matrix on C^l (x) C^r.
 
@@ -115,7 +107,7 @@ def nullspace_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     if m.size == 0:
         return []
     _, s, vh = np.linalg.svd(m)
-    cutoff = tol.atol * max(float(s[0]) if s.size else 0.0, 1.0)
+    cutoff = tol.atol * max(float(s[0]), 1.0)
     ncols = m.shape[1]
     rank = int(np.sum(s > cutoff))
     return [vh[i].conj() for i in range(rank, ncols)]
@@ -139,15 +131,6 @@ def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return bool(evals.min() >= -tol.atol) if evals.size else True
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product trace(a^dag b)."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.sum(a.conj() * b))
-
-
 def max_abs_diff(a, b) -> float:
     """Entrywise max-modulus difference, the package's matrix distance."""
     a = np.asarray(a, dtype=np.complex128)
@@ -157,10 +140,6 @@ def max_abs_diff(a, b) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - b)))
-
-
-def matrices_equal(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return max_abs_diff(a, b) <= tol.atol
 
 
 def vec(m) -> np.ndarray:

@@ -11,7 +11,8 @@ reference_axioms is the axiom check in computational coordinates with
 batched small products and positivity from the full Choi matrix.
 compose, convex_mix, depolarizing and kraus_from_choi are rebuilt as the
 Python lists of Kraus operators, one operator at a time, that the
-library's single-array forms replace.
+library's single-array forms replace. tensor, hs_inner and matrices_equal
+are assertion helpers that the library itself has no use for.
 """
 
 import numpy as np
@@ -19,8 +20,26 @@ import numpy as np
 from pqclab.algebras import canonical_basis, projection_superoperator
 from pqclab.channels import choi, from_kraus, kraus_from_choi, superoperator
 from pqclab.condexp import AxiomReport
-from pqclab.linalg import DEFAULT_TOL, is_psd, max_abs_diff, partial_trace, tensor, vec
+from pqclab.errors import DimensionMismatch
+from pqclab.linalg import DEFAULT_TOL, as_cmatrix, is_psd, max_abs_diff, partial_trace, vec
 from pqclab.rand import haar_unitary
+
+
+def tensor(a, b):
+    """Kronecker product of two matrices; output dimensions multiply."""
+    return np.kron(as_cmatrix(a), as_cmatrix(b))
+
+
+def hs_inner(a, b) -> complex:
+    """Hilbert-Schmidt inner product trace(a^dag b)."""
+    a, b = as_cmatrix(a), as_cmatrix(b)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    return complex(np.sum(a.conj() * b))
+
+
+def matrices_equal(a, b, tol=DEFAULT_TOL) -> bool:
+    return max_abs_diff(a, b) <= tol.atol
 
 
 def isometry_channel(d_in, d_out, count, rng):
@@ -146,7 +165,7 @@ def reference_axioms(ch, alg, tol=DEFAULT_TOL):
     from the eigenvalues of the d^2 x d^2 Choi matrix."""
     n = alg.dim
     s = superoperator(ch)
-    basis = alg._basis_stack()
+    basis = alg._basis_stack
     flat = basis.reshape(alg.num_basis, -1)
     fixes = float(np.max(np.abs(flat @ s.T - flat)))
 

@@ -26,17 +26,9 @@ from pqclab.errors import (
     NotUnitVector,
     Rho0NotInAlgebra,
 )
-from pqclab.linalg import (
-    ToleranceConfig,
-    hs_inner,
-    matrices_equal,
-    max_abs_diff,
-    partial_trace,
-    tensor,
-    vec,
-)
+from pqclab.linalg import ToleranceConfig, max_abs_diff, partial_trace, vec
 from pqclab.rand import haar_unitary, random_block_algebra, random_unit_vector
-from reference import reference_projection
+from reference import hs_inner, matrices_equal, reference_projection, tensor
 
 DELTA2 = diagonal_algebra(2)
 SCALAR2 = scalar_algebra(2)

@@ -19,8 +19,9 @@ from pqclab.bloch import (
 )
 from pqclab.channels import depolarizing, from_kraus, random_unitary
 from pqclab.errors import BlochVectorTooLong, DimensionMismatch, NotUnital
-from pqclab.linalg import ToleranceConfig, matrices_equal, max_abs_diff
+from pqclab.linalg import ToleranceConfig, max_abs_diff
 from pqclab.rand import haar_unitary
+from reference import matrices_equal
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

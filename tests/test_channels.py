@@ -28,10 +28,11 @@ from pqclab.errors import (
     NotTracePreserving,
     NotUnitary,
 )
-from pqclab.linalg import is_psd, matrices_equal, max_abs_diff, vec
+from pqclab.linalg import is_psd, max_abs_diff, vec
 from pqclab.rand import random_density, random_ru_channel
 from reference import (
     isometry_channel,
+    matrices_equal,
     reference_compose,
     reference_convex_mix,
     reference_depolarizing,

@@ -39,16 +39,19 @@ from pqclab.errors import (
     NotUnitVector,
     Rho0NotInAlgebra,
 )
-from pqclab.linalg import hs_inner, matrices_equal, max_abs_diff, partial_trace, tensor
+from pqclab.linalg import max_abs_diff, partial_trace
 from pqclab.rand import haar_unitary, random_block_algebra, random_ru_channel, random_unit_vector
 from reference import (
+    hs_inner,
     isometry_channel,
+    matrices_equal,
     reference_axioms,
     reference_bimodule,
     reference_choi,
     reference_condexp,
     reference_projection_superoperator,
     reference_superoperator,
+    tensor,
 )
 
 DELTA2 = diagonal_algebra(2)
@@ -281,6 +284,10 @@ class TestLoopReferences:
             (convex_mix([1 - 1e-3, 1e-3], [e, flip]), alg, False),
             (convex_mix([1 - 1e-13, 1e-13], [e, flip]), alg, True),
             (noisy, alg, False),
+            # reference_axioms keeps both module sides: a non-unital channel and a
+            # non-unital algebra, where the left side alone must find the same maximum
+            (isometry_channel(d, d, 3, rng), alg, False),
+            (random_ru_channel(d + 2, 3, rng), _haar_algebra(blocks, 2, rng), False),
         ]
         for ch, target, expected in cases:
             report = verify_condexp_axioms(ch, target)

@@ -21,8 +21,8 @@ from pqclab.io import (
     matrix_to_json,
 )
 from pqclab.algebras import diagonal_algebra
-from pqclab.linalg import matrices_equal
 from pqclab.rand import haar_unitary, random_ru_channel
+from reference import matrices_equal
 
 
 def _per_operator_json(stack):

@@ -7,16 +7,14 @@ from pqclab.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_cmatrix,
-    hs_inner,
     is_hermitian,
     is_psd,
-    matrices_equal,
     max_abs_diff,
     nullspace_basis,
     partial_trace,
-    tensor,
     vec,
 )
+from reference import hs_inner, matrices_equal, tensor
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
