@@ -4,8 +4,13 @@
 Run from anywhere; paths are anchored to the repository layout. Goldens
 are the exact stdout bytes of each command line in tests/golden_cases.py,
 so regenerate them only when an intentional output change is made.
+
+With --check nothing is written: every input file and golden whose
+checked-in bytes differ from what would be written is listed, and the
+exit code is 1 if there is any.
 """
 
+import argparse
 import io
 import json
 import sys
@@ -19,14 +24,12 @@ import golden_cases  # noqa: E402
 from pqclab.cli import main  # noqa: E402
 
 
-def run() -> None:
-    golden_cases.DATA_DIR.mkdir(parents=True, exist_ok=True)
-    golden_cases.GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-
+def expected_files():
+    """(path, text) for every input document, then every golden; the
+    goldens are produced by running the CLI on the documents as they
+    stand on disk."""
     for name, doc in golden_cases.data_documents().items():
-        path = golden_cases.DATA_DIR / name
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
+        yield golden_cases.DATA_DIR / name, json.dumps(doc, indent=2) + "\n"
 
     for golden_name, argv in golden_cases.CASES:
         buf = io.StringIO()
@@ -34,10 +37,32 @@ def run() -> None:
             code = main(list(argv))
         if code != 0:
             raise SystemExit(f"{argv} exited with {code}; goldens must come from clean runs")
-        path = golden_cases.GOLDEN_DIR / golden_name
-        path.write_text(buf.getvalue(), encoding="utf-8")
+        yield golden_cases.GOLDEN_DIR / golden_name, buf.getvalue()
+
+
+def run() -> None:
+    golden_cases.DATA_DIR.mkdir(parents=True, exist_ok=True)
+    golden_cases.GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for path, text in expected_files():
+        path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
 
 
+def check() -> int:
+    drifted = []
+    for path, text in expected_files():
+        if not path.is_file() or path.read_text(encoding="utf-8") != text:
+            drifted.append(path)
+            print(f"drift {path}")
+    print(f"{len(drifted)} file(s) would change")
+    return 1 if drifted else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true", help="write nothing; list drifted files, exit 1 on drift"
+    )
+    if parser.parse_args().check:
+        sys.exit(check())
     run()

@@ -5,6 +5,12 @@ rho = (1 + r . sigma)/2, pure states sitting on the unit sphere. A qubit
 channel acts affinely on r as r -> T r + t; the kernel of T determines
 which pure states the channel sends to the maximally mixed state, and
 ``classify`` names that set.
+
+``transfer`` reads (T, t) from the Kraus stack in two contractions over
+the basis (1, sigma_x, sigma_y, sigma_z), never through
+``Channel.apply_matrix``, so the channel route of the privacy checks stays
+independent of it. Unit Bloch vectors become kets in one vectorized map,
+of which ``bloch_to_ket`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from .channels import Channel, DensityOperator, is_unital
 from .errors import BlochVectorTooLong, DimensionMismatch, NotUnital
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_cmatrix, freeze, nullspace_basis
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_cmatrix, freeze, is_hermitian, nullspace_basis
 
 __all__ = [
     "SIGMA_X",
@@ -41,6 +47,8 @@ SIGMA_X = freeze(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 SIGMA_Y = freeze(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
 SIGMA_Z = freeze(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# sigma_0 = 1 first, so the transfer's column 0 is t and columns 1..3 are T
+_PAULI_STACK = freeze(np.stack([np.eye(2, dtype=np.complex128), *PAULIS]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +146,17 @@ class AllStates(PrivateStateSet):
     nullity = 3
 
 
-def density_to_bloch(rho) -> BlochVector:
-    """Bloch vector r_k = trace(rho sigma_k) of a 2x2 density operator."""
+def density_to_bloch(rho, tol: ToleranceConfig = DEFAULT_TOL) -> BlochVector:
+    """Bloch vector r_k = trace(rho sigma_k) of a 2x2 density operator.
+
+    A raw matrix must be Hermitian within atol, since only then are the
+    traces real; a DensityOperator was validated when it was built.
+    """
     m = rho.mat if isinstance(rho, DensityOperator) else as_cmatrix(rho)
     if m.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2x2 state, got {m.shape}")
+    if not is_hermitian(m, tol):
+        raise ValueError("matrix must be Hermitian within atol")
     return BlochVector(np.array([np.trace(m @ s).real for s in PAULIS]))
 
 
@@ -157,25 +171,43 @@ def bloch_to_density(r, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
     return DensityOperator(m, tol)
 
 
-def bloch_to_ket(r) -> np.ndarray:
+def _kets(rs: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Kets of the rows of an (N, 3) array of unit Bloch vectors, one per
+    row, phases fixed by a real first amplitude."""
+    # row-wise dot products: the sum np.linalg.norm forms for one vector, so a
+    # row gets the same bits in a batch as on its own
+    norms = np.sqrt((rs[:, None, :] @ rs[:, :, None]).reshape(-1))
+    if not np.all(np.abs(norms - 1.0) <= tol.atol):
+        raise ValueError("Bloch vectors of pure states must have unit norm within atol")
+    theta = np.arccos(np.clip(rs[:, 2] / norms, -1.0, 1.0))
+    phi = np.arctan2(rs[:, 1], rs[:, 0])
+    return np.column_stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+
+def bloch_to_ket(r, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Pure-state ket for a unit Bloch vector, phase fixed by a real first
-    amplitude."""
+    amplitude. Raises ValueError unless ||r|| = 1 within atol."""
     rv = r.r if isinstance(r, BlochVector) else np.asarray(r, dtype=float)
-    theta = np.arccos(np.clip(rv[2] / max(np.linalg.norm(rv), 1e-300), -1.0, 1.0))
-    phi = np.arctan2(rv[1], rv[0])
-    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    if rv.shape != (3,):
+        raise DimensionMismatch(f"Bloch vector must have 3 components, got {rv.shape}")
+    return _kets(rv[None], tol)[0]
 
 
 def transfer(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> PauliTransfer:
     """Affine (T, t) with T_jk = trace(sigma_j ch(sigma_k))/2 and
-    t_j = trace(sigma_j ch(1))/2."""
+    t_j = trace(sigma_j ch(1))/2.
+
+    Both come from one 4x4 matrix T4_jk = trace(s_j ch(s_k))/2 over
+    s = (1, sigma_x, sigma_y, sigma_z): the images ch(s_k) are one
+    contraction over the Kraus stack and T4 is a second, so T = T4[1:, 1:]
+    and t = T4[1:, 0].
+    """
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise DimensionMismatch("transfer is defined for qubit channels only")
-    images = [ch.apply_matrix(s) for s in PAULIS]
-    T = np.array([[np.trace(sj @ img) / 2 for img in images] for sj in PAULIS])
-    one_img = ch.apply_matrix(np.eye(2))
-    t = np.array([np.trace(sj @ one_img) / 2 for sj in PAULIS])
-    return PauliTransfer(T, t, tol)
+    ks = ch.kraus
+    images = np.einsum("aij,njk,alk->nil", ks, _PAULI_STACK, ks.conj())
+    t4 = np.einsum("jab,kba->jk", _PAULI_STACK, images) / 2
+    return PauliTransfer(t4[1:, 1:], t4[1:, 0], tol)
 
 
 def _lex_sign(v: np.ndarray, atol: float) -> np.ndarray:
@@ -201,7 +233,8 @@ def classify(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> PrivateStateSet
         return Empty()
     if len(null) == 1:
         v = _lex_sign(null[0] / np.linalg.norm(null[0]), tol.atol)
-        return AntipodalPair((bloch_to_ket(v), bloch_to_ket(-v)), tol)
+        plus, minus = _kets(np.stack([v, -v]), tol)
+        return AntipodalPair((plus, minus), tol)
     if len(null) == 2:
         n = np.cross(null[0], null[1])
         n = _lex_sign(n / np.linalg.norm(n), tol.atol)
@@ -235,7 +268,8 @@ def sample_private_states(s: PrivateStateSet, count: int) -> list[np.ndarray]:
 
     Empty yields nothing and AntipodalPair yields its two states; the circle
     is sampled at equal angles and the full sphere by a Fibonacci covering,
-    both deterministically.
+    both deterministically, and all points become kets in one vectorized
+    call.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -244,7 +278,7 @@ def sample_private_states(s: PrivateStateSet, count: int) -> list[np.ndarray]:
     if isinstance(s, AntipodalPair):
         return [np.array(st) for st in s.states]
     if isinstance(s, GreatCircle):
-        return [bloch_to_ket(r) for r in _circle_points(s.normal, count)]
+        return list(_kets(_circle_points(s.normal, count), DEFAULT_TOL))
     if isinstance(s, AllStates):
-        return [bloch_to_ket(r) for r in _fibonacci_sphere(count)]
+        return list(_kets(_fibonacci_sphere(count), DEFAULT_TOL))
     raise TypeError(f"not a PrivateStateSet: {s!r}")

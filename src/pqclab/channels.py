@@ -115,9 +115,15 @@ def from_kraus(kraus, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
     DimensionMismatch on ragged or empty input.
     """
     ch = Channel(kraus)
-    # sum_a K_a^dag K_a is one product over the rows of all operators
-    flat = ch.kraus.reshape(-1, ch.dim_in)
-    err = max_abs_diff(flat.conj().T @ flat, np.eye(ch.dim_in))
+    # sum_a K_a^dag K_a is one real product over the rows of all operators,
+    # read through the float64 view (columns re_0, im_0, re_1, ...) so that
+    # no conjugate copy of the stack is made: G[p, s, q, t] pairs part s of
+    # column p with part t of column q
+    d = ch.dim_in
+    re_im = ch.kraus.reshape(-1, d).view(np.float64)
+    g = (re_im.T @ re_im).reshape(d, 2, d, 2)
+    gram = g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
+    err = max_abs_diff(gram, np.eye(d))
     if err > tol.atol:
         raise NotTracePreserving(f"sum K^dag K deviates from identity by {err:.3e}")
     return ch

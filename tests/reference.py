@@ -11,13 +11,18 @@ reference_axioms is the axiom check in computational coordinates with
 batched small products and positivity from the full Choi matrix.
 compose, convex_mix, depolarizing and kraus_from_choi are rebuilt as the
 Python lists of Kraus operators, one operator at a time, that the
-library's single-array forms replace. tensor, hs_inner and matrices_equal
-are assertion helpers that the library itself has no use for.
+library's single-array forms replace. reference_transfer and
+reference_ket are the qubit transfer and the Bloch-to-ket map one Pauli
+and one point at a time, against which the two contractions and the
+vectorized map are required to agree bit for bit. tensor, hs_inner and
+matrices_equal are assertion helpers that the library itself has no use
+for.
 """
 
 import numpy as np
 
 from pqclab.algebras import canonical_basis, projection_superoperator
+from pqclab.bloch import PAULIS, PauliTransfer
 from pqclab.channels import choi, from_kraus, kraus_from_choi, superoperator
 from pqclab.condexp import AxiomReport
 from pqclab.errors import DimensionMismatch
@@ -185,3 +190,22 @@ def reference_axioms(ch, alg, tol=DEFAULT_TOL):
     trace_pres = float(np.max(np.abs(tr_row - vec(np.eye(n)).conj())))
     passed = fixes <= tol.atol and bimodule <= tol.atol and positive and trace_pres <= tol.atol
     return AxiomReport(fixes, bimodule, positive, trace_pres, passed)
+
+
+def reference_transfer(ch, tol=DEFAULT_TOL):
+    """T_jk = trace(sigma_j ch(sigma_k))/2 and t_j = trace(sigma_j ch(1))/2,
+    one apply_matrix per Pauli and one trace of a product per entry."""
+    images = [ch.apply_matrix(s) for s in PAULIS]
+    T = np.array([[np.trace(sj @ img) / 2 for img in images] for sj in PAULIS])
+    one_img = ch.apply_matrix(np.eye(2))
+    t = np.array([np.trace(sj @ one_img) / 2 for sj in PAULIS])
+    return PauliTransfer(T, t, tol)
+
+
+def reference_ket(r):
+    """Ket of one Bloch vector from its polar and azimuthal angles, with
+    the norm of that vector alone."""
+    r = np.asarray(r, dtype=float)
+    theta = np.arccos(np.clip(r[2] / max(np.linalg.norm(r), 1e-300), -1.0, 1.0))
+    phi = np.arctan2(r[1], r[0])
+    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])

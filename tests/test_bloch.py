@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqclab import bloch
 from pqclab.bloch import (
     AllStates,
     AntipodalPair,
@@ -17,11 +18,11 @@ from pqclab.bloch import (
     sample_private_states,
     transfer,
 )
-from pqclab.channels import depolarizing, from_kraus, random_unitary
+from pqclab.channels import Channel, DensityOperator, depolarizing, from_kraus, random_unitary
 from pqclab.errors import BlochVectorTooLong, DimensionMismatch, NotUnital
 from pqclab.linalg import ToleranceConfig, max_abs_diff
 from pqclab.rand import haar_unitary
-from reference import matrices_equal
+from reference import isometry_channel, matrices_equal, reference_ket, reference_transfer
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -87,6 +88,37 @@ class TestCoordinates:
         with pytest.raises(DimensionMismatch):
             density_to_bloch(np.eye(3) / 3)
 
+    def test_density_to_bloch_rejects_non_hermitian_matrices(self):
+        # the traces' imaginary parts would be dropped, giving r = (1, 0, 1)
+        with pytest.raises(ValueError):
+            density_to_bloch(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        skew = np.array([[0.5, 0.5 + 1e-7], [0.5, 0.5]])
+        with pytest.raises(ValueError):
+            density_to_bloch(skew)
+        assert np.allclose(density_to_bloch(skew, ToleranceConfig(1e-6)).r, [1, 0, 0])
+        assert np.allclose(density_to_bloch(DensityOperator(np.eye(2) / 2)).r, 0.0)
+
+    @pytest.mark.parametrize(
+        "r", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 1.0 + 1e-7], [0.6, 0.8, 0.1]]
+    )
+    def test_ket_needs_a_unit_vector(self, r):
+        with pytest.raises(ValueError):
+            bloch_to_ket(r)
+
+    def test_ket_norm_check_follows_the_tolerance(self):
+        r = [0.0, 0.0, 1.0 + 1e-7]
+        assert np.allclose(bloch_to_ket(r, ToleranceConfig(1e-6)), [1.0, 0.0])
+        assert np.allclose(bloch_to_ket(BlochVector(np.array([0.0, 0.0, -1.0]))), [0.0, 1.0])
+
+    def test_ket_rejects_wrong_shape(self):
+        with pytest.raises(DimensionMismatch):
+            bloch_to_ket([1.0, 0.0])
+
+    def test_batched_kets_check_every_row(self):
+        rs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.9]])
+        with pytest.raises(ValueError):
+            bloch._kets(rs, ToleranceConfig())
+
 
 class TestTransfer:
     def test_identity_channel(self):
@@ -103,15 +135,52 @@ class TestTransfer:
         pt = transfer(DEPHASING)
         assert matrices_equal(pt.T, np.diag([0.0, 0.0, 1.0]))
 
-    @given(st.integers(0, 10**6))
-    def test_affine_action_matches_channel(self, seed):
+    def test_amplitude_damping_has_a_translation(self):
+        # gamma = 1/2 shrinks x and y by sqrt(1/2), z by 1/2, and moves z up by 1/2
+        pt = transfer(AMP_DAMP)
+        s = np.sqrt(0.5)
+        assert np.max(np.abs(pt.T - np.diag([s, s, 0.5]))) < 1e-15
+        assert np.max(np.abs(pt.t - [0.0, 0.0, 0.5])) < 1e-15
+        want = reference_transfer(AMP_DAMP)
+        assert np.array_equal(pt.T, want.T) and np.array_equal(pt.t, want.t)
+
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_affine_action_matches_channel(self, seed, unital):
         rng = np.random.default_rng(seed)
-        probs = rng.dirichlet(np.ones(3))
-        ch = random_unitary(probs, [haar_unitary(2, rng) for _ in range(3)])
+        if unital:
+            probs = rng.dirichlet(np.ones(3))
+            ch = random_unitary(probs, [haar_unitary(2, rng) for _ in range(3)])
+        else:
+            ch = isometry_channel(2, 2, int(rng.integers(2, 5)), rng)
         pt = transfer(ch)
         r = 0.9 * _unit_bloch(seed + 1)
         lhs = density_to_bloch(ch.apply_matrix(bloch_to_density(r).mat)).r
         assert np.max(np.abs(lhs - (pt.T @ r + pt.t))) < 1e-10
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_per_pauli_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            ch = isometry_channel(2, 2, 2 + seed % 3, rng)  # not unital
+        else:
+            probs = rng.dirichlet(np.ones(3))
+            ch = random_unitary(probs, [haar_unitary(2, rng) for _ in range(3)])
+        got, want = transfer(ch), reference_transfer(ch)
+        assert np.array_equal(got.T, want.T) and np.array_equal(got.t, want.t)
+
+    def test_transfer_never_applies_the_channel(self, monkeypatch):
+        calls = []
+        apply_matrix = Channel.apply_matrix
+
+        def counted(self, x):
+            calls.append(x)
+            return apply_matrix(self, x)
+
+        monkeypatch.setattr(Channel, "apply_matrix", counted)
+        transfer(PAULI_MIX)
+        assert len(calls) == 0
+        classify(PAULI_MIX)  # its is_unital check applies the channel once
+        assert len(calls) == 1
 
     def test_rejects_non_qubit_channels(self):
         with pytest.raises(DimensionMismatch):
@@ -185,6 +254,22 @@ class TestSampling:
     def test_rejects_non_positive_count(self):
         with pytest.raises(ValueError):
             sample_private_states(AllStates(), 0)
+
+    @pytest.mark.parametrize("count", [1, 8, 100, 10_000])
+    @pytest.mark.parametrize(
+        "s",
+        [AllStates(), GreatCircle(np.array([0.0, 0.0, 1.0])), GreatCircle(_unit_bloch(3))],
+        ids=["sphere", "equator", "tilted-circle"],
+    )
+    def test_batched_kets_equal_the_per_point_reference(self, s, count):
+        points = (
+            bloch._fibonacci_sphere(count)
+            if isinstance(s, AllStates)
+            else bloch._circle_points(s.normal, count)
+        )
+        got = np.array(sample_private_states(s, count))
+        assert got.shape == (count, 2)
+        assert np.array_equal(got, np.array([reference_ket(r) for r in points]))
 
 
 class TestUnitaryCovariance:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from pqclab.errors import (
     NotUnitary,
 )
 from pqclab.linalg import is_psd, max_abs_diff, vec
-from pqclab.rand import random_density, random_ru_channel
+from pqclab.rand import haar_unitary, random_density, random_ru_channel
 from reference import (
     isometry_channel,
     matrices_equal,
@@ -62,6 +63,9 @@ class TestConstruction:
     def test_rejects_non_trace_preserving(self):
         with pytest.raises(NotTracePreserving):
             from_kraus([2 * SX])
+        # sum K^dag K = [[1, 1e-6 i], [-1e-6 i, 1 + 1e-12]]: off only in its imaginary part
+        with pytest.raises(NotTracePreserving):
+            from_kraus([[[1, 1e-6j], [0, 1]]])
 
     def test_rejects_mismatched_kraus_shapes(self):
         with pytest.raises(DimensionMismatch):
@@ -309,6 +313,23 @@ class TestKrausStack:
     def test_from_kraus_rejects_malformed_stacks(self, kraus, error):
         with pytest.raises(error):
             from_kraus(kraus)
+
+    @pytest.mark.parametrize("d_in, d_out, count", [(20, 20, 40), (12, 30, 8)])
+    def test_trace_check_makes_no_second_copy_of_the_stack(self, d_in, d_out, count):
+        ks = haar_unitary(count * d_out, np.random.default_rng(d_in))[:, :d_in]
+        ks = ks.reshape(count, d_out, d_in).copy()
+        tracemalloc.start()
+        try:
+            from_kraus(ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the channel's own copy is the one stack-sized allocation
+        assert peak < 1.5 * ks.nbytes
+        # sum K^dag K becomes (1 + 2e-8) 1, off by twenty times the default atol
+        ks *= 1 + 1e-8
+        with pytest.raises(NotTracePreserving):
+            from_kraus(ks)
 
 
 class TestListReferences:

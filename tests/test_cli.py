@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -45,6 +46,15 @@ def write_doc(tmp_path):
         return str(path)
 
     return _write
+
+
+def _child_env() -> dict:
+    """The environment for a child Python that imports pqclab from where
+    this process found it, which pytest's pythonpath setting does not pass
+    on through the environment."""
+    src = str(Path(pqclab.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def run_cli(capsys, *argv):
@@ -386,19 +396,48 @@ class TestPlumbing:
 
     def test_module_entry_point(self, write_doc):
         path = write_doc("ch.json", IDENTITY_DOC)
-        # the child imports pqclab from where this process found it, which
-        # pytest's pythonpath setting does not pass on through the environment
-        src = str(Path(pqclab.__file__).resolve().parent.parent)
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "pqclab.cli", "classify", path],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["tag"] == "Empty"
+
+
+REGEN_GOLDENS = Path(__file__).resolve().parent.parent / "scripts" / "regen_goldens.py"
+
+
+class TestRegenGoldensCheck:
+    def test_checked_in_goldens_do_not_drift(self):
+        proc = subprocess.run(
+            [sys.executable, str(REGEN_GOLDENS), "--check"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "drift" not in proc.stdout
+
+    def test_lists_every_drifted_golden_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("regen_goldens", REGEN_GOLDENS)
+        regen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(regen)
+        for path in regen.golden_cases.GOLDEN_DIR.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        drifted = [tmp_path / "classify_identity.json", tmp_path / "demo_frame.json"]
+        for path in drifted:
+            path.write_text("{}\n", encoding="utf-8")
+        (tmp_path / "condexp_scalar2_choi.json").unlink()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(regen.golden_cases, "GOLDEN_DIR", tmp_path)
+
+        assert regen.check() == 1
+        listed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("drift")]
+        expected = drifted + [tmp_path / "condexp_scalar2_choi.json"]
+        assert sorted(listed) == sorted(f"drift {p}" for p in expected)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 NAN, INF = float("nan"), float("inf")
