@@ -30,10 +30,10 @@ from .algebras import (
     trace_vector_wrt,
 )
 from .bloch import (
+    PAULIS,
     AntipodalPair,
     GreatCircle,
     classify,
-    density_to_bloch,
     sample_private_states,
     transfer,
 )
@@ -107,13 +107,19 @@ def _floats(a) -> list:
     return [float(x) + 0.0 for x in np.asarray(a, dtype=float).reshape(-1)]
 
 
-def _ket_row(ket: np.ndarray) -> dict:
-    r = density_to_bloch(np.outer(ket, ket.conj())).r
-    return {
-        "theta": float(np.arccos(np.clip(r[2], -1.0, 1.0))),
-        "bloch": _floats(r),
-        "amplitudes": matrix_to_json(ket),
-    }
+def _sample_rows(kets: list[np.ndarray]) -> list[dict]:
+    """theta, Bloch vector and amplitudes of each sampled ket. The Bloch
+    vectors r_k = trace(|ket><ket| sigma_k) are one contraction over the
+    stacked states, and the amplitudes one encoding."""
+    kets = np.array(kets, dtype=np.complex128).reshape(-1, 2)
+    rhos = kets[:, :, None] * kets.conj()[:, None, :]
+    # + 0.0 turns -0.0 into 0.0, as _floats does
+    rs = np.einsum("nij,kji->nk", rhos, np.stack(PAULIS)).real + 0.0
+    thetas = np.arccos(np.clip(rs[:, 2], -1.0, 1.0))
+    return [
+        {"theta": theta, "bloch": r, "amplitudes": amps}
+        for theta, r, amps in zip(thetas.tolist(), rs.tolist(), matrix_to_json(kets))
+    ]
 
 
 def _write_sample_csv(path: str, rows: list[dict]) -> None:
@@ -146,7 +152,7 @@ def cmd_classify(args, tol: ToleranceConfig) -> RunReport:
     if isinstance(tag, GreatCircle):
         result["normal"] = _floats(tag.normal)
     if args.samples:
-        rows = [_ket_row(k) for k in sample_private_states(tag, args.samples)]
+        rows = _sample_rows(sample_private_states(tag, args.samples))
         result["samples"] = rows
         if args.out:
             _write_sample_csv(args.out, rows)

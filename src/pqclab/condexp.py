@@ -29,7 +29,7 @@ from .channels import (
     superoperator,
 )
 from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector
-from .linalg import DEFAULT_TOL, ToleranceConfig, freeze, is_psd, max_abs_diff, vec
+from .linalg import DEFAULT_TOL, ToleranceConfig, freeze, is_psd, max_abs_diff
 
 __all__ = [
     "PQCInstance",
@@ -74,6 +74,13 @@ class PQCInstance:
 class AxiomReport:
     """Worst-case violations of the conditional expectation axioms.
 
+    The three floats are worst entries in the algebra's block coordinates,
+    where a matrix X reads U X U^dag and a basis element is 1_m (x) E_st
+    (see verify_condexp_axioms). With d the dimension, fixes_subalgebra and
+    trace_preserving lie within a factor d, and bimodule within a factor
+    d^2, of the same worst entries in computational coordinates, in both
+    directions.
+
     fixes_subalgebra: max deviation of E(b) from b over the canonical basis.
     bimodule: the left module violation, the max deviation of E(b a) from
     b P(E(a)) over basis elements b and all matrix units a, where P
@@ -84,7 +91,7 @@ class AxiomReport:
     for all basis pairs (see verify_condexp_axioms). positive: the Choi
     matrix is PSD, decided from the eigenvalues of the Kraus Gram matrix
     or of the Choi matrix, whichever is smaller; the two have the same
-    nonzero spectrum.
+    nonzero spectrum, and neither depends on the coordinates.
     trace_preserving: max trace deviation on matrix units.
     """
 
@@ -126,18 +133,53 @@ def condexp_channel(alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Cha
     return from_kraus(np.concatenate(list(blocks)), tol)
 
 
+def _shape_groups(alg: AlgebraSpec):
+    """(m, n, pos) for each distinct block shape (m, n) of the algebra, where
+    pos[j, a, s] is the block coordinate of row (a, s) of the j-th block of
+    that shape."""
+    offsets: dict[tuple[int, int], list[int]] = {}
+    for shape, off in zip(alg.blocks, alg.block_offsets()):
+        offsets.setdefault(shape, []).append(off)
+    for (m, n), offs in offsets.items():
+        yield m, n, np.add.outer(offs, np.arange(m * n)).reshape(-1, m, n)
+
+
+def _projected_rows(s: np.ndarray, m: int, pos: np.ndarray) -> np.ndarray:
+    """The rows of P'S' in the blocks at pos, for S' given as (d, d, d, d).
+
+    P' averages each diagonal block of a matrix in block coordinates over
+    its multiplicity m, so P'S'[(a, t), (a, u), k, l] of block j is the
+    entry [j, t, u, k, l] of the result for every a < m. Every other row of
+    P'S', off the diagonal blocks or in the zero summand, vanishes.
+    """
+    return s[pos[..., None], pos[..., None, :]].sum(axis=1) / m
+
+
 def verify_condexp_axioms(
     ch: Channel, alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL
 ) -> AxiomReport:
     """Measure how far a channel is from being the conditional expectation
     onto the given algebra.
 
+    Every residual is read in the algebra's block coordinates X' = U X U^dag,
+    with U = alg.basis_change. There the channel has the Kraus stack
+    U K_a U^dag and the superoperator S', and the basis element (s, t) of a
+    block of shape (m, n) is b' = 1_m (x) E_st, the partial permutation
+    sum_a |a, s><a, t|. The reported floats are the worst entries there. A
+    residual R in computational coordinates reads
+    R' = (U (x) conj(U)) R (U (x) conj(U))^dag, so with d = alg.dim the
+    fixes_subalgebra and trace_preserving values lie within a factor d, and
+    the bimodule value within a factor d^2, of their computational-coordinate
+    counterparts, in both directions.
+
     The subalgebra axiom is checked on the canonical basis and trace
-    preservation on all matrix units. Positivity is decided from the
-    eigenvalues of the smaller of two matrices with the same nonzero
-    spectrum: the K x K Gram matrix of the vectorised Kraus operators when
-    K <= d^2, the d^2 x d^2 Choi matrix otherwise. With F the d^2 x K matrix
-    of vectorised Kraus operators they are F^dag F and J = F F^dag.
+    preservation on all matrix units. Positivity does not change with the
+    coordinates. It is decided from the eigenvalues of the smaller of two
+    matrices with the same nonzero spectrum: the K x K Gram matrix of the
+    channel's own vectorised Kraus operators when K <= d^2, the d^2 x d^2
+    Choi matrix of S', a unitary conjugate of the channel's, otherwise. With
+    F the d^2 x K matrix of vectorised Kraus operators they are F^dag F and
+    J = F F^dag.
 
     The bimodule axiom E(b1 X b2) = b1 P(E(X)) b2 is checked on the left
     side only. With S the superoperator of E, P that of the projection onto
@@ -161,40 +203,52 @@ def verify_condexp_axioms(
        that of the joint check over all basis pairs, at K instead of K^2
        products.
 
-    L_b acts as an index map on permuted copies of S and P S, one matrix
-    product each.
+    In block coordinates S' L_b' and L_b' P'S' each have O(m d^3) nonzero
+    entries, so all residuals are gathered from slices of S' and of the
+    block rows of P'S', blocks of one shape at a time, with no product
+    beyond the one that forms S'.
     """
-    n = alg.dim
-    if ch.dim_in != n or ch.dim_out != n:
-        raise DimensionMismatch(f"channel dims ({ch.dim_in}, {ch.dim_out}) vs algebra dim {n}")
-    s = superoperator(ch)
-    basis = alg._basis_stack
+    d = alg.dim
+    if ch.dim_in != d or ch.dim_out != d:
+        raise DimensionMismatch(f"channel dims ({ch.dim_in}, {ch.dim_out}) vs algebra dim {d}")
+    u = alg.basis_change
+    # S'[x, y, k, l]: rows (x, y) index output matrix units, columns (k, l) input ones
+    s = superoperator(Channel(u @ ch.kraus @ u.conj().T)).reshape(d, d, d, d)
 
-    flat = basis.reshape(alg.num_basis, -1)
-    fixes = float(np.max(np.abs(flat @ s.T - flat)))
+    fixes = bimodule = 0.0
+    for m, n, pos in _shape_groups(alg):
+        pos_t = pos.transpose(0, 2, 1)
+        j, r = np.arange(len(pos))[:, None, None], np.arange(n)
+        # (x, y) = ((a, s), (a, t)) of block j runs over the support of b'_jst
+        x, y = pos[..., None], pos[..., None, :]
 
-    # rows of S and PS are indexed (i, j) by output matrix units, columns
-    # (k, l) by input ones. S L_b = L_b P S reads
-    #   sum_k' S[ijk'l] b[k'k]  vs  sum_i' b[ii'] PS[i'jkl], in (i, j, l, k) order.
-    # S' is S with its columns in (l, k) order, and P S' = (P S)' is
-    # sum_k vec(b_k) (vec(b_k)^dag S') / m_k, from the algebra's own basis
-    s_perm = np.ascontiguousarray(s.reshape(n * n, n, n).transpose(0, 2, 1)).reshape(n * n, -1)
-    ps_cols = ((flat.T * alg._basis_weights()) @ (flat.conj() @ s_perm)).reshape(n, -1)
-    s_rows = s_perm.reshape(-1, n)
-    bimodule = 0.0
-    for b in basis:
-        lhs = s_rows @ b
-        lhs -= (b @ ps_cols).reshape(lhs.shape)
-        bimodule = max(bimodule, float(np.abs(lhs).max()))
+        # E'(b'_jst) = sum_a S'[:, :, (a, s), (a, t)], indexed [x, y, j, s, t]
+        fix = s[:, :, x, y].sum(axis=3)
+        fix[x, y, j[..., None], r[:, None], r] -= 1.0
+        fixes = max(fixes, float(np.abs(fix).max()))
+
+        ps = _projected_rows(s, m, pos)
+        # S' L_b'_jst is S'[:, :, (c, s), l] at column ((c, t), l), and
+        # L_b'_jst P'S' is ps[j, t, u] at row ((a, s), (a, u)). Where both are
+        # nonzero, the residual is both[j, a, s, u, c, l] - mixed[j, t, u, c, l]
+        both = s[x[..., None], y[..., None], pos_t[:, None, :, None, :]]
+        mixed = ps[j[..., None], r[:, None, None], r[:, None], pos_t[:, :, None, :]]
+        worst = float(np.abs(both[:, :, :, None] - mixed[:, None, None]).max())
+        # S' L_b' alone, at every other row of the columns ((c, t), l): [x, y, j, s]
+        lhs = np.abs(s[:, :, pos]).max(axis=(3, 5))
+        lhs[x, y, j[..., None], r[:, None]] = 0.0
+        # L_b' P'S' alone, at every other column of its rows: [j, t, k]
+        rhs = np.abs(ps).max(axis=(2, 4))
+        rhs[j, r[:, None], pos_t] = 0.0
+        bimodule = max(bimodule, worst, float(lhs.max()), float(rhs.max()))
 
     ks = ch.kraus.reshape(len(ch.kraus), -1)
-    if len(ks) <= n * n:
+    if len(ks) <= d * d:
         positive = is_psd(ks @ ks.conj().T, tol)
     else:
-        positive = is_psd(_choi_from_superoperator(s, n, n), tol)
+        positive = is_psd(_choi_from_superoperator(s, d, d), tol)
 
-    tr_row = vec(np.eye(n)).conj() @ s
-    trace_pres = float(np.max(np.abs(tr_row - vec(np.eye(n)).conj())))
+    trace_pres = float(np.max(np.abs(np.einsum("xxkl->kl", s) - np.eye(d))))
 
     passed = (
         fixes <= tol.atol and bimodule <= tol.atol and positive and trace_pres <= tol.atol

@@ -14,18 +14,21 @@ Python lists of Kraus operators, one operator at a time, that the
 library's single-array forms replace. reference_transfer and
 reference_ket are the qubit transfer and the Bloch-to-ket map one Pauli
 and one point at a time, against which the two contractions and the
-vectorized map are required to agree bit for bit. tensor, hs_inner and
-matrices_equal are assertion helpers that the library itself has no use
-for.
+vectorized map are required to agree bit for bit. reference_sample_row is
+the CLI's sample row one ket at a time, through density_to_bloch, against
+which the batched rows are required to agree byte for byte. tensor,
+hs_inner and matrices_equal are assertion helpers that the library itself
+has no use for.
 """
 
 import numpy as np
 
 from pqclab.algebras import canonical_basis, projection_superoperator
-from pqclab.bloch import PAULIS, PauliTransfer
+from pqclab.bloch import PAULIS, PauliTransfer, density_to_bloch
 from pqclab.channels import choi, from_kraus, kraus_from_choi, superoperator
 from pqclab.condexp import AxiomReport
 from pqclab.errors import DimensionMismatch
+from pqclab.io import matrix_to_json
 from pqclab.linalg import DEFAULT_TOL, as_cmatrix, is_psd, max_abs_diff, partial_trace, vec
 from pqclab.rand import haar_unitary
 
@@ -209,3 +212,14 @@ def reference_ket(r):
     theta = np.arccos(np.clip(r[2] / max(np.linalg.norm(r), 1e-300), -1.0, 1.0))
     phi = np.arctan2(r[1], r[0])
     return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+
+def reference_sample_row(ket):
+    """theta, Bloch vector and amplitudes of one sampled ket, the Bloch
+    vector read from its density matrix and the amplitudes encoded alone."""
+    r = density_to_bloch(np.outer(ket, ket.conj())).r
+    return {
+        "theta": float(np.arccos(np.clip(r[2], -1.0, 1.0))),
+        "bloch": [float(x) + 0.0 for x in r],
+        "amplitudes": matrix_to_json(ket),
+    }

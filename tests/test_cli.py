@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 import pqclab
 from pqclab import cli
+from pqclab.bloch import classify, sample_private_states
 from pqclab.cli import ENV_TOL, MAX_SAMPLES, main
-from pqclab.io import MAX_CHANNEL_DIM, NAMED_CHANNELS, matrix_to_json
+from pqclab.io import MAX_CHANNEL_DIM, NAMED_CHANNELS, channel_from_spec, matrix_to_json
+from reference import reference_sample_row
 
 DEPHASING_DOC = {"kind": "named", "name": "dephasing_z"}
 IDENTITY_DOC = {"kind": "named", "name": "identity"}
@@ -139,6 +141,17 @@ class TestClassify:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: --samples must lie in 0..{MAX_SAMPLES}")
+
+    @pytest.mark.parametrize(
+        "name", ["ch_completely_depolarizing", "ch_dephasing_z", "ch_pauli_mix", "ch_identity"]
+    )
+    @pytest.mark.parametrize("count", [1, 2000])
+    def test_sample_rows_equal_the_per_sample_reference(self, name, count):
+        doc = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+        kets = sample_private_states(classify(channel_from_spec(doc)), count)
+        want = [reference_sample_row(k) for k in kets]
+        # json.dumps tells -0.0 from 0.0, which == does not
+        assert json.dumps(cli._sample_rows(kets)) == json.dumps(want)
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(DEPHASING_DOC)))

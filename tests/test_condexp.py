@@ -15,6 +15,7 @@ from pqclab.algebras import (
 )
 from pqclab.bloch import AllStates, GreatCircle, classify
 from pqclab.channels import (
+    Channel,
     DensityOperator,
     channels_equal,
     choi,
@@ -171,6 +172,24 @@ class TestAxioms:
         with pytest.raises(DimensionMismatch):
             verify_condexp_axioms(E_DELTA, scalar_algebra(3))
 
+    @pytest.mark.parametrize("basis_change", [None, haar_unitary(2, np.random.default_rng(4))])
+    def test_zero_summand_rows_count(self, basis_change):
+        # against M_1 (+) 0_1, both residuals below are largest at a column of
+        # the zero summand, in block coordinates
+        alg = AlgebraSpec(((1, 1),), 1, basis_change)
+        u = alg.basis_change
+        # E = id: E(b X) - b P(E(X)) for b = e00 is X[0, 1] e01
+        report = verify_condexp_axioms(from_kraus([np.eye(2)]), alg)
+        assert report.fixes_subalgebra <= 1e-12 and report.trace_preserving <= 1e-12
+        assert abs(report.bimodule - 1.0) <= 1e-12
+        assert not report.passed
+        # E = R . R^dag in block coordinates, R a rotation by 0.1:
+        # E(e00) - e00 = [[-sin^2, cos sin], [cos sin, sin^2]]
+        c, s = np.cos(0.1), np.sin(0.1)
+        rotation = u.conj().T @ np.array([[c, -s], [s, c]]) @ u
+        report = verify_condexp_axioms(from_kraus([rotation]), alg)
+        assert abs(report.fixes_subalgebra - c * s) <= 1e-12
+
     @pytest.mark.parametrize("seed", range(3))
     def test_random_algebras_pass(self, seed):
         alg = random_block_algebra(np.random.default_rng(seed), max_dim=8, admit_trace_vectors=None)
@@ -291,11 +310,36 @@ class TestLoopReferences:
         ]
         for ch, target, expected in cases:
             report = verify_condexp_axioms(ch, target)
-            want = reference_axioms(ch, target)
-            assert report.passed is want.passed is expected
-            assert report.positive is want.positive is True
-            for name in ("fixes_subalgebra", "bimodule", "trace_preserving"):
-                assert abs(getattr(report, name) - getattr(want, name)) <= 1e-12, name
+            # the reference in block coordinates: U K U^dag against the algebra with U = 1
+            u = target.basis_change
+            rotated = Channel(u @ ch.kraus @ u.conj().T)
+            want = reference_axioms(rotated, AlgebraSpec(target.blocks, target.zero_dim))
+            computational = reference_axioms(ch, target)
+            assert report.passed is want.passed is computational.passed is expected
+            assert report.positive is want.positive is computational.positive is True
+            n = target.dim
+            for name, factor in (
+                ("fixes_subalgebra", n),
+                ("bimodule", n * n),
+                ("trace_preserving", n),
+            ):
+                got, old = getattr(report, name), getattr(computational, name)
+                assert abs(got - getattr(want, name)) <= 1e-12, name
+                assert got <= factor * old + 1e-12 and old <= factor * got + 1e-12, name
+
+    @pytest.mark.parametrize("shape", HAAR_SHAPES)
+    def test_block_projection_is_the_rotated_projection(self, shape):
+        blocks, zero_dim = shape
+        alg = _haar_algebra(blocks, zero_dim, np.random.default_rng(3 + len(blocks) + zero_dim))
+        d = alg.dim
+        # the rows of P' 1 = P', placed back at every multiplicity index a
+        p_block = np.zeros((d, d, d, d), dtype=np.complex128)
+        for m, _, pos in condexp._shape_groups(alg):
+            rows = condexp._projected_rows(np.eye(d * d).reshape(d, d, d, d), m, pos)
+            p_block[pos[..., None], pos[..., None, :]] = rows[:, None]
+        uu = np.kron(alg.basis_change, alg.basis_change.conj())
+        want = uu @ projection_superoperator(alg) @ uu.conj().T
+        assert max_abs_diff(p_block.reshape(d * d, d * d), want) <= 1e-12
 
     def test_one_superoperator_and_no_choi_per_check(self, monkeypatch):
         calls = {"superoperator": 0, "choi": 0}
