@@ -7,8 +7,9 @@ which pure states the channel sends to the maximally mixed state, and
 ``classify`` names that set.
 
 ``transfer`` reads (T, t) from the Kraus stack in two contractions over
-the basis (1, sigma_x, sigma_y, sigma_z), never through
-``Channel.apply_matrix``, so the channel route of the privacy checks stays
+the basis (1, sigma_x, sigma_y, sigma_z), and ``is_unital`` reads E(1/d)
+from one product of the stack. So ``classify`` never calls
+``Channel.apply_matrix``, and the channel route of the privacy checks stays
 independent of it. Unit Bloch vectors become kets in one vectorized map,
 of which ``bloch_to_ket`` is the one-row case.
 """
@@ -219,6 +220,14 @@ def _lex_sign(v: np.ndarray, atol: float) -> np.ndarray:
     return v + 0.0
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two real 3-vectors: the component formula of np.cross,
+    without its broadcasting set-up."""
+    return np.array(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
+
+
 def classify(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> PrivateStateSet:
     """Name the set of pure states the channel maps to the maximally mixed
     state: nothing, an orthogonal pair, a great circle, or everything.
@@ -236,7 +245,7 @@ def classify(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> PrivateStateSet
         plus, minus = _kets(np.stack([v, -v]), tol)
         return AntipodalPair((plus, minus), tol)
     if len(null) == 2:
-        n = np.cross(null[0], null[1])
+        n = _cross(null[0], null[1])
         n = _lex_sign(n / np.linalg.norm(n), tol.atol)
         return GreatCircle(n, tol)
     return AllStates()
@@ -258,7 +267,7 @@ def _circle_points(normal: np.ndarray, count: int) -> np.ndarray:
     e[int(np.argmin(np.abs(normal)))] = 1.0
     u = e - (e @ normal) * normal
     u = u / np.linalg.norm(u)
-    w = np.cross(normal, u)
+    w = _cross(normal, u)
     theta = 2.0 * np.pi * np.arange(count) / count
     return np.outer(np.cos(theta), u) + np.outer(np.sin(theta), w)
 

@@ -98,14 +98,21 @@ class Channel:
     def dim_out(self) -> int:
         return self.kraus.shape[1]
 
-    def apply_matrix(self, x) -> CMatrix:
-        """Linear action sum_i K_i x K_i^dag on an arbitrary square matrix."""
-        x = as_cmatrix(x)
-        if x.shape != (self.dim_in, self.dim_in):
+    def apply_matrix(self, x) -> np.ndarray:
+        """Linear action sum_i K_i x K_i^dag on an arbitrary square matrix,
+        or on each matrix of an (N, dim_in, dim_in) stack, giving an
+        (N, dim_out, dim_out) stack."""
+        x = np.asarray(x, dtype=np.complex128)
+        d = self.dim_in
+        if x.ndim not in (2, 3) or x.shape[-2:] != (d, d):
             raise DimensionMismatch(
-                f"channel expects {self.dim_in}x{self.dim_in} input, got {x.shape}"
+                f"channel expects {d}x{d} input or a stack of them, got {x.shape}"
             )
-        return np.einsum("aij,jk,alk->il", self.kraus, x, self.kraus.conj())
+        if not np.all(np.isfinite(x)):
+            raise ValueError("matrix contains NaN or Inf entries")
+        # the stack's index n is one more free label of the same contraction
+        subscripts = "aij,jk,alk->il" if x.ndim == 2 else "aij,njk,alk->nil"
+        return np.einsum(subscripts, self.kraus, x, self.kraus.conj())
 
 
 def from_kraus(kraus, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -238,11 +245,17 @@ def compose(a: Channel, b: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> Chann
 
 
 def is_unital(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff the channel fixes the maximally mixed state."""
+    """True iff the channel fixes the maximally mixed state.
+
+    E(1/d) = sum_a K_a K_a^dag / d is read from one product of the Kraus
+    stack, without applying the channel.
+    """
     if ch.dim_in != ch.dim_out:
         return False
     d = ch.dim_in
-    return max_abs_diff(ch.apply_matrix(np.eye(d) / d), np.eye(d) / d) <= tol.atol
+    # rows of K_a side by side: (d, K d) times its adjoint is sum_a K_a K_a^dag
+    rows = ch.kraus.transpose(1, 0, 2).reshape(d, -1)
+    return max_abs_diff(rows @ rows.conj().T / d, np.eye(d) / d) <= tol.atol
 
 
 def channels_equal(a: Channel, b: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

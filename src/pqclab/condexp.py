@@ -8,6 +8,10 @@ rho0 when E maps every member of S to rho0; for conditional expectation
 channels this happens exactly when S consists of trace vectors with
 respect to rho0, and both sides of that equivalence are implemented here
 as independently checkable routes.
+
+A PQCInstance holds its states as one read-only (N, d) stack, and is_pqc
+applies the channel to them through one Channel.apply_matrix call per
+chunk of outer products, the chunks bounded by a fixed byte budget.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .channels import (
     superoperator,
 )
 from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector
-from .linalg import DEFAULT_TOL, ToleranceConfig, freeze, is_psd, max_abs_diff
+from .linalg import DEFAULT_TOL, ToleranceConfig, is_psd
 
 __all__ = [
     "PQCInstance",
@@ -42,32 +46,49 @@ __all__ = [
     "collective_noise_channel_n2",
 ]
 
+# bytes of outer products, and of channel outputs, that is_pqc holds at once
+_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class PQCInstance:
-    """A candidate private channel: pure states, channel, target state."""
+    """A candidate private channel: pure states, channel, target state.
 
-    states: tuple[np.ndarray, ...]
+    The states are held as one read-only (N, dim_in) complex stack, one row
+    per state in the order given, as a Channel holds one Kraus stack, and
+    is_pqc makes one Channel.apply_matrix call per chunk of its rows. Every
+    state must have the channel's input length and unit norm within atol.
+    """
+
+    states: np.ndarray
     channel: Channel
     rho0: DensityOperator
     tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
-        states = tuple(np.asarray(s, dtype=np.complex128).reshape(-1) for s in self.states)
-        if not states:
+        try:
+            states = np.array(self.states, dtype=np.complex128)  # a copy of its own
+        except ValueError as exc:
+            raise DimensionMismatch(f"states must share one length: {exc}") from exc
+        if states.ndim == 0 or len(states) == 0:
             raise ValueError("need at least one state")
-        for s in states:
-            if s.size != self.channel.dim_in:
-                raise DimensionMismatch(
-                    f"state length {s.size} vs channel input {self.channel.dim_in}"
-                )
-            if not (abs(np.linalg.norm(s) - 1.0) <= self.tol.atol):
-                raise NotUnitVector(f"state norm {np.linalg.norm(s)} is not 1 within atol")
+        states = states.reshape(len(states), -1)
+        if states.shape[1] != self.channel.dim_in:
+            raise DimensionMismatch(
+                f"state length {states.shape[1]} vs channel input {self.channel.dim_in}"
+            )
+        # row norms through the float64 view (re_0, im_0, re_1, ...) of each state
+        parts = states.view(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+        unit = np.abs(norms - 1.0) <= self.tol.atol  # False for a NaN norm
+        if not unit.all():
+            raise NotUnitVector(f"state norm {norms[~unit][0]} is not 1 within atol")
         if self.rho0.dim != self.channel.dim_out:
             raise DimensionMismatch(
                 f"target dimension {self.rho0.dim} vs channel output {self.channel.dim_out}"
             )
-        object.__setattr__(self, "states", tuple(freeze(s) for s in states))
+        states.setflags(write=False)
+        object.__setattr__(self, "states", states)
 
 
 @dataclass(frozen=True)
@@ -257,12 +278,22 @@ def verify_condexp_axioms(
 
 
 def is_pqc(inst: PQCInstance, tol: ToleranceConfig = DEFAULT_TOL) -> PqcReport:
-    """True iff the channel sends every listed pure state to the target."""
-    target = inst.rho0.mat
+    """True iff the channel sends every listed pure state to the target.
+
+    The states' outer products are formed a chunk at a time, and each chunk
+    goes through one Channel.apply_matrix call on its (n, d, d) stack. The
+    chunks stay within a fixed byte budget, so a long list of states never
+    holds all N d x d matrices at once. The residuals, in the order of the
+    states, are the same numbers one apply_matrix call per state gives.
+    """
+    states, target = inst.states, inst.rho0.mat
+    d = max(inst.channel.dim_in, inst.channel.dim_out)
+    step = max(1, _CHUNK_BYTES // (states.itemsize * d * d))
     residuals = []
-    for s in inst.states:
-        out = inst.channel.apply_matrix(np.outer(s, s.conj()))
-        residuals.append(max_abs_diff(out, target))
+    for lo in range(0, len(states), step):
+        chunk = states[lo : lo + step]
+        out = inst.channel.apply_matrix(chunk[:, :, None] * chunk.conj()[:, None, :])
+        residuals.extend(np.abs(out - target).max(axis=(1, 2)).tolist())
     return PqcReport(all(r <= tol.atol for r in residuals), tuple(residuals))
 
 

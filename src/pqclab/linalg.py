@@ -122,12 +122,13 @@ def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff ``m`` is Hermitian within atol with eigenvalues >= -atol."""
-    m = as_cmatrix(m)
+    m = as_cmatrix(m)  # the one conversion and finiteness scan
     if m.shape[0] != m.shape[1]:
         return False
-    if not is_hermitian(m, tol):
+    adj = m.conj().T
+    if max_abs_diff(m, adj) > tol.atol:
         return False
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    evals = np.linalg.eigvalsh((m + adj) / 2)
     return bool(evals.min() >= -tol.atol) if evals.size else True
 
 

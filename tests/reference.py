@@ -14,7 +14,10 @@ Python lists of Kraus operators, one operator at a time, that the
 library's single-array forms replace. reference_transfer and
 reference_ket are the qubit transfer and the Bloch-to-ket map one Pauli
 and one point at a time, against which the two contractions and the
-vectorized map are required to agree bit for bit. reference_sample_row is
+vectorized map are required to agree bit for bit. reference_is_pqc is the
+privacy check with one apply_matrix call per state, against which the
+chunked check is required to give the same residuals bit for bit.
+reference_sample_row is
 the CLI's sample row one ket at a time, through density_to_bloch, against
 which the batched rows are required to agree byte for byte. tensor,
 hs_inner and matrices_equal are assertion helpers that the library itself
@@ -26,7 +29,7 @@ import numpy as np
 from pqclab.algebras import canonical_basis, projection_superoperator
 from pqclab.bloch import PAULIS, PauliTransfer, density_to_bloch
 from pqclab.channels import choi, from_kraus, kraus_from_choi, superoperator
-from pqclab.condexp import AxiomReport
+from pqclab.condexp import AxiomReport, PqcReport
 from pqclab.errors import DimensionMismatch
 from pqclab.io import matrix_to_json
 from pqclab.linalg import DEFAULT_TOL, as_cmatrix, is_psd, max_abs_diff, partial_trace, vec
@@ -203,6 +206,16 @@ def reference_transfer(ch, tol=DEFAULT_TOL):
     one_img = ch.apply_matrix(np.eye(2))
     t = np.array([np.trace(sj @ one_img) / 2 for sj in PAULIS])
     return PauliTransfer(T, t, tol)
+
+
+def reference_is_pqc(inst, tol=DEFAULT_TOL):
+    """The residual ||E(phi phi*) - rho0|| of each state in turn, one
+    outer product and one apply_matrix call per state."""
+    residuals = []
+    for s in inst.states:
+        out = inst.channel.apply_matrix(np.outer(s, s.conj()))
+        residuals.append(max_abs_diff(out, inst.rho0.mat))
+    return PqcReport(all(r <= tol.atol for r in residuals), tuple(residuals))
 
 
 def reference_ket(r):

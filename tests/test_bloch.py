@@ -179,8 +179,8 @@ class TestTransfer:
         monkeypatch.setattr(Channel, "apply_matrix", counted)
         transfer(PAULI_MIX)
         assert len(calls) == 0
-        classify(PAULI_MIX)  # its is_unital check applies the channel once
-        assert len(calls) == 1
+        classify(PAULI_MIX)  # is_unital reads sum K K^dag from the stack too
+        assert len(calls) == 0
 
     def test_rejects_non_qubit_channels(self):
         with pytest.raises(DimensionMismatch):

@@ -140,6 +140,33 @@ class TestAction:
         with pytest.raises(DimensionMismatch):
             DEPHASING.apply_matrix(np.eye(3))
 
+    @pytest.mark.parametrize("d_in, d_out", [(1, 1), (2, 2), (3, 5), (5, 3), (8, 8)])
+    def test_stack_equals_one_matrix_at_a_time(self, d_in, d_out):
+        rng = np.random.default_rng(10 * d_in + d_out)
+        ch = isometry_channel(d_in, d_out, 3, rng)
+        xs = rng.standard_normal((6, d_in, d_in)) + 1j * rng.standard_normal((6, d_in, d_in))
+        out = ch.apply_matrix(xs)
+        assert out.shape == (6, d_out, d_out)
+        for x, y in zip(xs, out):
+            assert np.array_equal(y, ch.apply_matrix(x))
+        assert ch.apply_matrix(xs[:1]).shape == (1, d_out, d_out)
+
+    @pytest.mark.parametrize(
+        "x, error",
+        [
+            pytest.param(np.ones(2), DimensionMismatch, id="1-d"),
+            pytest.param(np.ones((1, 1, 2, 2)), DimensionMismatch, id="4-d"),
+            pytest.param(np.ones((3, 2, 3)), DimensionMismatch, id="non-square-stack"),
+            pytest.param(np.ones((3, 3, 3)), DimensionMismatch, id="wrong-size-stack"),
+            pytest.param(np.ones((0, 3, 3)), DimensionMismatch, id="empty-wrong-size-stack"),
+            pytest.param(np.array([[[np.nan, 0], [0, 1]]]), ValueError, id="nan-in-stack"),
+            pytest.param(np.array([[np.inf, 0], [0, 1]]), ValueError, id="inf-matrix"),
+        ],
+    )
+    def test_apply_matrix_rejects_malformed_input(self, x, error):
+        with pytest.raises(error):
+            DEPHASING.apply_matrix(x)
+
 
 class TestChoi:
     def test_identity_choi_is_unnormalized_bell_projector(self):
@@ -213,6 +240,21 @@ class TestUnital:
 
     def test_amplitude_damping_is_not_unital(self):
         assert not is_unital(AMP_DAMP)
+
+    def test_agrees_with_applying_the_channel_to_the_maximally_mixed_state(self):
+        rng = np.random.default_rng(6)
+        for d in (1, 2, 3, 6):
+            flip = random_unitary([1.0], [haar_unitary(d, rng)])
+            for ch in (
+                random_ru_channel(d, 3, rng),
+                isometry_channel(d, d, 2, rng),
+                # E(1/d) moves by about 1e-7 and 1e-12: one of each side of atol
+                convex_mix([1 - 1e-7, 1e-7], [flip, isometry_channel(d, d, 2, rng)]),
+                convex_mix([1 - 1e-12, 1e-12], [flip, isometry_channel(d, d, 2, rng)]),
+            ):
+                applied = max_abs_diff(ch.apply_matrix(np.eye(d) / d), np.eye(d) / d)
+                assert is_unital(ch) is (applied <= 1e-9)
+        assert not is_unital(isometry_channel(2, 3, 2, rng))
 
 
 class TestConvexMix:

@@ -192,6 +192,23 @@ class TestCheckPqc:
         assert code == 2
         assert "DimensionMismatch" in err
 
+    def test_ragged_states_exit_2(self, capsys, write_doc):
+        s = 1 / np.sqrt(2)
+        ch, st, rho = self._files(write_doc, [[[s, 0], [s, 0]], [[1, 0], [0, 0], [0, 0]]])
+        code, out, err = run_cli(capsys, "check-pqc", ch, st, rho)
+        assert code == 2
+        assert out == ""
+        assert "DimensionMismatch" in err and "Traceback" not in err
+
+    def test_residuals_follow_the_order_of_the_states(self, capsys, write_doc):
+        s = 1 / np.sqrt(2)
+        states = [[[1, 0], [0, 0]], [[s, 0], [s, 0]], [[0, 0], [1, 0]], [[s, 0], [0, s]]]
+        ch, st, rho = self._files(write_doc, states)
+        code, out, _ = run_cli(capsys, "check-pqc", ch, st, rho)
+        assert code == 0
+        residuals = json.loads(out)["result"]["residuals"]
+        assert [r <= 1e-9 for r in residuals] == [False, True, False, True]
+
     def test_missing_states_key_exits_1(self, capsys, write_doc):
         ch = write_doc("ch.json", DEPHASING_DOC)
         st = write_doc("states.json", {"vectors": []})

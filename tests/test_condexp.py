@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -50,6 +53,7 @@ from reference import (
     reference_bimodule,
     reference_choi,
     reference_condexp,
+    reference_is_pqc,
     reference_projection_superoperator,
     reference_superoperator,
     tensor,
@@ -361,7 +365,76 @@ class TestLoopReferences:
             assert calls == {"superoperator": 1, "choi": 0}
 
 
+    @staticmethod
+    def _pqc_cases(d, rng):
+        """(channel, target) pairs on input dimension d: unital and
+        non-unital square channels, rectangular ones both ways, and one that
+        privatizes every state."""
+        mixed = lambda n: DensityOperator(np.eye(n) / n)  # noqa: E731
+        cases = [
+            (random_ru_channel(d, 3, rng), mixed(d)),
+            (isometry_channel(d, d, 2, rng), mixed(d)),
+            (isometry_channel(d, d + 2, 2, rng), mixed(d + 2)),
+            (depolarizing(1.0, d), mixed(d)),
+        ]
+        if d > 1:
+            cases.append((isometry_channel(d, d - 1, 3, rng), mixed(d - 1)))
+        return cases
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_is_pqc_equals_the_per_state_loop(self, d):
+        rng = np.random.default_rng(40 + d)
+        for ch, target in self._pqc_cases(d, rng):
+            for count in (1, 2, 7, 40):
+                states = [random_unit_vector(d, rng) for _ in range(count)]
+                inst = PQCInstance(states, ch, target)
+                got, want = is_pqc(inst), reference_is_pqc(inst)
+                assert got.residuals == want.residuals
+                assert got.verdict is want.verdict
+
+    def test_is_pqc_equals_the_per_state_loop_across_chunks(self, monkeypatch, apply_calls):
+        rng = np.random.default_rng(53)
+        d, budget = 5, 3 * 16 * 7**2 + 7
+        monkeypatch.setattr(condexp, "_CHUNK_BYTES", budget)
+        chunkings = []
+        for ch, target in self._pqc_cases(d, rng):
+            states = np.array([random_unit_vector(d, rng) for _ in range(10)])
+            inst = PQCInstance(states, ch, target)
+            want = reference_is_pqc(inst)
+            apply_calls.clear()
+            assert is_pqc(inst).residuals == want.residuals
+            # a chunk holds as many of the wider of the d x d inputs and the
+            # outputs as fit in the budget
+            step = budget // (16 * max(ch.dim_in, ch.dim_out) ** 2)
+            assert apply_calls == [(min(step, 10 - lo), d, d) for lo in range(0, 10, step)]
+            chunkings.append([n for n, _, _ in apply_calls])
+        # 5 x 5 outputs fit five to a chunk, 7 x 7 ones three with one left over
+        assert [5, 5] in chunkings and [3, 3, 3, 1] in chunkings
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """The input shape of every Channel.apply_matrix call, in call order."""
+    calls = []
+    apply_matrix = Channel.apply_matrix
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return apply_matrix(self, x)
+
+    monkeypatch.setattr(Channel, "apply_matrix", counted)
+    return calls
+
+
 class TestIsPqc:
+    def test_one_apply_matrix_call_per_chunk(self, apply_calls):
+        states = [_equator_state(k * np.pi / 4) for k in range(8)]
+        assert is_pqc(PQCInstance(states, E_DELTA, MIXED2)).verdict
+        assert apply_calls == [(8, 2, 2)]
+        apply_calls.clear()
+        assert not is_pqc(PQCInstance(states[:1] + [np.array([1.0, 0.0])], E_DELTA, MIXED2))
+        assert apply_calls == [(2, 2, 2)]
+
     def test_equator_states_are_private_for_dephasing_expectation(self):
         states = tuple(_equator_state(k * np.pi / 4) for k in range(8))
         report = is_pqc(PQCInstance(states, E_DELTA, MIXED2))
@@ -388,6 +461,39 @@ class TestIsPqc:
             PQCInstance((np.array([1.0, 0.0, 0.0]),), E_DELTA, MIXED2)
         with pytest.raises(ValueError):
             PQCInstance((), E_DELTA, MIXED2)
+
+    @pytest.mark.parametrize(
+        "states, error",
+        [
+            pytest.param([[1.0, 0.0], [1.0, 0.0, 0.0]], DimensionMismatch, id="ragged"),
+            pytest.param([[1.0], [0.0]], DimensionMismatch, id="short-states"),
+            pytest.param(np.eye(3), DimensionMismatch, id="long-stack"),
+            pytest.param(np.zeros((0, 2)), ValueError, id="empty-stack"),
+            pytest.param([], ValueError, id="empty-list"),
+            pytest.param([[1.0, 0.0], [np.nan, 0.0]], NotUnitVector, id="nan-second-state"),
+            pytest.param([[1.0, 0.0], [np.inf, 0.0]], NotUnitVector, id="inf-state"),
+            pytest.param([[1.0, 0.0], [0.6, 0.6]], NotUnitVector, id="short-norm"),
+            # norm 1 + 1.25e-9, just beyond the default atol
+            pytest.param([[1.0, 0.0], [1.0, 5e-5]], NotUnitVector, id="norm-just-over-atol"),
+        ],
+    )
+    def test_instance_rejects_every_bad_state(self, states, error):
+        with pytest.raises(error):
+            PQCInstance(states, E_DELTA, MIXED2)
+
+    def test_states_are_one_read_only_stack(self):
+        given = [_equator_state(0.3), np.array([1.0, 4e-5])]  # norm 1 + 8e-10
+        inst = PQCInstance(given, E_DELTA, MIXED2)
+        assert isinstance(inst.states, np.ndarray)
+        assert inst.states.shape == (2, 2) and inst.states.dtype == np.complex128
+        assert inst.states.flags.c_contiguous and not inst.states.flags.writeable
+        with pytest.raises(ValueError):
+            inst.states[0, 0] = 0.0
+        given[0][0] = 0.0  # the instance holds a copy
+        assert inst.states[0, 0] == 1 / np.sqrt(2)
+        # column vectors are flattened to rows
+        columns = PQCInstance(inst.states[:, :, None], E_DELTA, MIXED2)
+        assert np.array_equal(columns.states, inst.states)
 
 
 class TestCertificate:
@@ -422,6 +528,19 @@ class TestCertificate:
             direct = is_pqc(PQCInstance((v,), ch, rho0)).verdict
             cert = private_states_certificate(alg, rho0, v)
             assert direct == cert
+
+
+EQUIVALENCE_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "equivalence_sweep.py"
+
+
+class TestEquivalenceSweepScript:
+    def test_small_sweep_finds_no_disagreement(self, capsys):
+        spec = importlib.util.spec_from_file_location("equivalence_sweep", EQUIVALENCE_SWEEP)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        assert sweep.run(algebras=3, vectors=5, seed=1, max_dim=6) == 0
+        out = capsys.readouterr().out
+        assert "disagreements between the two routes: 0 / 15 random draws" in out
 
 
 class TestCollectiveNoise:

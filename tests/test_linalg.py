@@ -123,6 +123,34 @@ class TestHermitianPsd:
 
     def test_non_hermitian_is_not_psd(self):
         assert not is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # Hermitian within atol counts; beyond it does not, whatever the spectrum
+        assert is_psd(np.array([[1.0, 5e-10], [0.0, 1.0]]))
+        assert not is_psd(np.array([[1.0, 2e-9], [0.0, 1.0]]))
+        assert not is_psd(np.array([[1.0, 1j], [1j, 1.0]]))
+
+    def test_non_square_is_not_psd(self):
+        assert not is_psd(np.ones((2, 3)))
+        assert not is_psd(np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_entries_raise(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError):
+            is_psd(m)
+        with pytest.raises(ValueError):
+            is_psd(m[:2])  # checked before the shape
+
+    def test_rejects_wrong_ndim_and_accepts_empty(self):
+        from pqclab.errors import DimensionMismatch
+
+        with pytest.raises(DimensionMismatch):
+            is_psd(np.ones(4))
+        assert is_psd(np.zeros((0, 0)))
+
+    def test_eigenvalue_threshold(self):
+        assert is_psd(np.diag([1.0, -5e-10]))
+        assert not is_psd(np.diag([1.0, -2e-9]))
 
 
 class TestHsInner:
