@@ -12,13 +12,18 @@ the verdicts numerically stable.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from pqclab.algebras import is_trace_vector, trace_vector_onb
-from pqclab.channels import DensityOperator
-from pqclab.condexp import PQCInstance, condexp_channel, is_pqc
-from pqclab.rand import random_block_algebra, random_unit_vector
+# the checkout's own package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pqclab.algebras import is_trace_vector, trace_vector_onb  # noqa: E402
+from pqclab.channels import DensityOperator  # noqa: E402
+from pqclab.condexp import PQCInstance, condexp_channel, is_pqc  # noqa: E402
+from pqclab.rand import random_block_algebra, random_unit_vector  # noqa: E402
 
 
 def run(algebras: int, vectors: int, seed: int, max_dim: int) -> int:

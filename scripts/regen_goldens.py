@@ -17,7 +17,9 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+# the checkout's own package and the golden case list, installed or not
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import golden_cases  # noqa: E402
 

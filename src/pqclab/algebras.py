@@ -7,10 +7,14 @@ matrices
 
     U^dag ( sum_i 1_{m_i} (x) b_i  (+)  0_k ) U,   b_i in M_{n_i},
 
-so U carries computational coordinates to the internal block coordinates.
+so U carries computational coordinates to the internal block coordinates
+X' = U X U^dag, where every computation here works on index grids of the
+blocks; only canonical_basis builds basis matrices.
 A unit vector v is a trace vector with respect to a state rho0 when
 <v|a|v> = trace(rho0 a) for every algebra element a; checking the canonical
-basis suffices by linearity.
+basis suffices by linearity. With V the (m, n) reshape of a block of U v
+and W the block's sums of U rho0 U^dag over the multiplicity, that is
+V^dag V = W^T on every block.
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ class AlgebraSpec:
         Dimension k of the zero summand; the algebra is unital iff k = 0.
     basis_change : array_like or None
         Unitary U of size n x n, n = sum m_i n_i + k. None means identity.
+
+    Projections and checks read the blocks through the cached _shape_groups.
     """
 
     blocks: tuple[tuple[int, int], ...]
@@ -112,33 +118,16 @@ class AlgebraSpec:
         return offs
 
     @cached_property
-    def _grids(self) -> list[np.ndarray]:
-        """Per block i: the rows of U for that block, shaped (m_i, n_i, dim).
-
-        Everything downstream (basis, projection, checks) is an einsum over
-        these tensors, which keeps repeated queries on one algebra cheap.
-        """
-        offs = self.block_offsets()
+    def _shape_groups(self) -> list[tuple[int, int, np.ndarray]]:
+        """(m, n, pos) for each distinct block shape (m, n), where pos[j, a, s]
+        is the block coordinate of row (a, s) of the j-th block of that shape."""
+        offsets: dict[tuple[int, int], list[int]] = {}
+        for shape, off in zip(self.blocks, self.block_offsets()):
+            offsets.setdefault(shape, []).append(off)
         return [
-            self.basis_change[offs[i] : offs[i + 1], :].reshape(m, n, self.dim)
-            for i, (m, n) in enumerate(self.blocks)
+            (m, n, np.add.outer(offs, np.arange(m * n)).reshape(-1, m, n))
+            for (m, n), offs in offsets.items()
         ]
-
-    @cached_property
-    def _basis_stack(self) -> np.ndarray:
-        """All canonical basis elements stacked as an array (K, dim, dim)."""
-        # element (s, t) of block i is sum_a |row(a,s)><row(a,t)| in U coordinates
-        return np.concatenate(
-            [
-                np.einsum("asx,aty->stxy", g.conj(), g).reshape(-1, self.dim, self.dim)
-                for g in self._grids
-            ]
-        )
-
-    def _basis_weights(self) -> np.ndarray:
-        """1/m_i for each of the n_i^2 basis elements of block i, the inverse
-        squared Hilbert-Schmidt norms of the canonical basis."""
-        return np.repeat([1.0 / m for m, _ in self.blocks], [n * n for _, n in self.blocks])
 
 
 def diagonal_algebra(d: int, basis_change=None) -> AlgebraSpec:
@@ -159,36 +148,51 @@ def full_matrix_algebra(d: int, basis_change=None) -> AlgebraSpec:
 def canonical_basis(alg: AlgebraSpec) -> list[CMatrix]:
     """The sum_i n_i^2 matrices U^dag (1_{m_i} (x) E_st) U, block by block,
     E_st in row-major order; a linear basis of the algebra."""
-    return [freeze(b) for b in alg._basis_stack]
+    u, d, out = alg.basis_change, alg.dim, []
+    for (m, n), off in zip(alg.blocks, alg.block_offsets()):
+        g = u[off : off + m * n].reshape(m, n, d)
+        # element (s, t) is sum_a |row(a,s)><row(a,t)| in U coordinates
+        out.extend(freeze(b) for b in np.einsum("asx,aty->stxy", g.conj(), g).reshape(-1, d, d))
+    return out
+
+
+def _block_sums(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """sum_a x[(a, s), (a, t), ...] over the blocks at pos, indexed [j, s, t, ...],
+    for x in block coordinates: U X U^dag, or S' as (d, d, d, d). Divided by
+    m it is the projection's block: P'x[(a, s), (a, t), ...] for every a < m.
+    """
+    return x[pos[..., None], pos[..., None, :]].sum(axis=1)
+
+
+def _block_average(alg: AlgebraSpec, x: np.ndarray) -> np.ndarray:
+    """P'x for x as in _block_sums: each diagonal block averaged over its
+    multiplicity, everything else dropped."""
+    out = np.zeros(x.shape, dtype=np.complex128)
+    for m, _, pos in alg._shape_groups:
+        out[pos[..., None], pos[..., None, :]] = _block_sums(x, pos)[:, None] / m
+    return out
 
 
 def project_onto_algebra(alg: AlgebraSpec, x) -> CMatrix:
-    """Hilbert-Schmidt orthogonal projection of a matrix onto the algebra.
-
-    In internal coordinates each diagonal block of U x U^dag is averaged
-    over the multiplicity factor, everything else is dropped.
-    """
+    """Hilbert-Schmidt orthogonal projection of a matrix onto the algebra,
+    U^dag P'(U x U^dag) U with P' as in _block_average."""
     x = as_cmatrix(x)
     d = alg.dim
     if x.shape != (d, d):
         raise DimensionMismatch(f"expected {d}x{d}, got {x.shape}")
-    out = np.zeros((d, d), dtype=np.complex128)
-    for (m, _), g in zip(alg.blocks, alg._grids):
-        w = np.einsum("asx,xy,aty->st", g, x, g.conj()) / m
-        out += np.einsum("asx,st,aty->xy", g.conj(), w, g)
-    return out
+    u = alg.basis_change
+    return u.conj().T @ _block_average(alg, u @ x @ u.conj().T) @ u
 
 
 def projection_superoperator(alg: AlgebraSpec) -> CMatrix:
     """Matrix of :func:`project_onto_algebra` on row-major vectorized input.
 
-    The canonical basis is Hilbert-Schmidt orthogonal with squared norms
-    equal to the block multiplicities, so the projection is the weighted
-    sum of rank-one superoperators sum_k vec(b_k) vec(b_k)^dag / m_k over
-    it, formed as one product of the stacked basis with its conjugate.
+    Column (k, l) projects the matrix unit E_kl, and the rotated units
+    U E_kl U^dag are the columns of UU = U (x) conj(U): the matrix is UU^dag P'(UU).
     """
-    flat = alg._basis_stack.reshape(alg.num_basis, -1)
-    return (flat.T * alg._basis_weights()) @ flat.conj()
+    d = alg.dim
+    uu = np.kron(alg.basis_change, alg.basis_change.conj())
+    return uu.conj().T @ _block_average(alg, uu.reshape(d, d, d, d)).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,36 +228,49 @@ def _state_in_algebra(alg: AlgebraSpec, rho0, tol: ToleranceConfig) -> DensityOp
     return state
 
 
-def is_trace_vector(v, alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL) -> TraceVectorReport:
-    """Check <v|a|v> = trace(rho0 a) over the canonical basis of the algebra.
-
-    Raises NotUnitVector unless ||v|| = 1 within atol; rho0 = 1_n/n gives
-    the plain trace-vector condition.
-    """
+def _as_vector(v, alg: AlgebraSpec, tol: ToleranceConfig | None = None) -> np.ndarray:
+    """v flattened, of the algebra's dimension and finite; with tol given, of
+    unit norm within atol first, so that NaN there raises NotUnitVector."""
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size != alg.dim:
         raise DimensionMismatch(f"vector length {v.size} vs algebra dimension {alg.dim}")
-    nrm = np.linalg.norm(v)
-    if not (abs(nrm - 1.0) <= tol.atol):
-        raise NotUnitVector(f"vector norm {nrm} is not 1 within atol")
+    if tol is not None:
+        nrm = np.linalg.norm(v)
+        if not (abs(nrm - 1.0) <= tol.atol):
+            raise NotUnitVector(f"vector norm {nrm} is not 1 within atol")
+    if not np.isfinite(v).all():
+        raise ValueError("vector has NaN or Inf entries")
+    return v
+
+
+def is_trace_vector(v, alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL) -> TraceVectorReport:
+    """Check <v|a|v> = trace(rho0 a) over the canonical basis of the algebra.
+
+    The violation is the worst entry of V^dag V - W^T over all blocks.
+    Raises NotUnitVector unless ||v|| = 1 within atol; rho0 = 1_n/n gives
+    the plain trace-vector condition.
+    """
+    v = _as_vector(v, alg, tol)
     state = _as_state(rho0, alg.dim, tol)
-    basis = alg._basis_stack
-    lhs = np.einsum("kij,i,j->k", basis, v.conj(), v)
-    rhs = np.einsum("kij,ji->k", basis, state.mat)
-    violation = float(np.max(np.abs(lhs - rhs)))
+    u = alg.basis_change
+    w, rho_t = u @ v, (u @ state.mat @ u.conj().T).T
+    violation = 0.0
+    for _, _, pos in alg._shape_groups:
+        gram = w[pos].conj().transpose(0, 2, 1) @ w[pos]
+        violation = max(violation, float(np.abs(gram - _block_sums(rho_t, pos)).max()))
     return TraceVectorReport(v, state, violation, violation <= tol.atol)
 
 
 def is_separating(v, alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff a |v> = 0 forces a = 0 within the algebra, tested as full
-    column rank of the stacked images (basis element) |v>."""
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.size != alg.dim:
-        raise DimensionMismatch(f"vector length {v.size} vs algebra dimension {alg.dim}")
-    images = np.einsum("kij,j->ik", alg._basis_stack, v)
-    s = np.linalg.svd(images, compute_uv=False)
-    cutoff = tol.atol * max(float(s[0]), 1.0)
-    return int(np.sum(s > cutoff)) == alg.num_basis
+    column rank of the stacked images (basis element) |v>. Those repeat each
+    singular value of each block's V_j n_j times, so every V_j needs n_j
+    singular values above atol * max(s_max, 1), s_max the largest of all.
+    """
+    w = alg.basis_change @ _as_vector(v, alg)
+    svals = [(n, np.linalg.svd(w[pos], compute_uv=False)) for _, n, pos in alg._shape_groups]
+    cutoff = tol.atol * max(max(float(s.max()) for _, s in svals), 1.0)
+    return all(s.shape[1] == n and (s > cutoff).all() for n, s in svals)
 
 
 def has_trace_vector(alg: AlgebraSpec) -> bool:
@@ -269,10 +286,7 @@ def max_entangled_trace_vector(m: int, n: int) -> np.ndarray:
     vector of the single-block algebra 1_m (x) M_n when m >= n."""
     if m < n:
         raise ValueError(f"need m >= n, got ({m}, {n})")
-    v = np.zeros(m * n, dtype=np.complex128)
-    for i in range(n):
-        v[i * n + i] = 1.0
-    return v / np.sqrt(n)
+    return np.eye(m, n, dtype=np.complex128).reshape(-1) / np.sqrt(n)
 
 
 def _orbit_seed_and_step(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -294,17 +308,13 @@ def _orbit_seed_and_step(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
     offs = alg.block_offsets()
     idx = 0
     for i, (m, ni) in enumerate(alg.blocks):
-        d = m * ni
-        # block seed: sqrt(m/n) * sum_{l<ni} |e_l f_l>, squared norm d/n
-        bs = np.zeros(d, dtype=np.complex128)
-        for l in range(ni):
-            bs[l * ni + l] = np.sqrt(m / n)
-        v0[offs[i] : offs[i + 1]] = bs
+        # block seed: sqrt(m/n) * sum_{l<ni} |e_l f_l>, squared norm m ni / n
+        v0[offs[i] : offs[i + 1]] = np.eye(m, ni).reshape(-1) * np.sqrt(m / n)
         f = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
         c = (f * (omega ** (idx + np.arange(m) * ni))) @ f.conj().T
         dphase = np.diag(omega ** np.arange(ni))
         step[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = np.kron(c, dphase)
-        idx += d
+        idx += m * ni
     return v0, step
 
 
@@ -333,26 +343,29 @@ def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL)
 
     rho0 must itself lie in the algebra. Per block the condition pins the
     Gram matrix of the vector's (multiplicity x size) component matrix V to
-    V^dag V = (block weight)^T, solved by an eigendecomposition square root
-    padded to m_i rows. Ranks count eigenvalues above atol; a block weight
-    of rank above m_i is infeasible, and so is rank 0 in every block.
+    V^dag V = W^T, W the block sums of U rho0 U^dag, solved by an
+    eigendecomposition square root padded to m_i rows and placed in block
+    coordinates. Ranks count eigenvalues above atol; a block weight of rank
+    above m_i is infeasible, and so is rank 0 in every block.
     """
     if not alg.is_unital:
         raise NotUnitalAlgebra("trace vectors with respect to a state require a unital algebra")
     state = _state_in_algebra(alg, rho0, tol)
-    v = np.zeros(alg.dim, dtype=np.complex128)
-    for i, ((m, _), g) in enumerate(zip(alg.blocks, alg._grids)):
-        w = np.einsum("asx,xy,aty->st", g, state.mat, g.conj())  # = m * (block weight of rho0)
-        lam, vecs = np.linalg.eigh((w.T + w.conj()) / 2)
-        order = np.argsort(lam)[::-1]
-        lam, vecs = np.clip(lam[order], 0.0, None), vecs[:, order]
-        rank = int(np.sum(lam > tol.atol))
+    u = alg.basis_change
+    rho = u @ state.mat @ u.conj().T
+    w = np.zeros(alg.dim, dtype=np.complex128)
+    for m, n, pos in alg._shape_groups:
+        weight = _block_sums(rho, pos)  # = m * (block weight of rho0), [j, s, t]
+        lam, vecs = np.linalg.eigh((weight.transpose(0, 2, 1) + weight.conj()) / 2)
+        lam, vecs = lam[:, ::-1], vecs[:, :, ::-1]
+        kept = lam > tol.atol
+        rank = int(kept.sum(axis=1).max())
         if rank > m:
-            raise Infeasible(
-                f"block {i} weight has rank {rank} above multiplicity {m}; no such vector exists"
-            )
-        comp = np.sqrt(lam[:rank]) * vecs[:, :rank].conj()  # column j is row j of V
-        v += np.einsum("sa,asx->x", comp, g[:rank].conj())
-    if not v.any():
+            raise Infeasible(f"a ({m}, {n}) block weight has rank {rank} above multiplicity {m}")
+        # row a < rank of V is sqrt(lam_a) times the conjugate of eigenvector a
+        rows = np.sqrt(np.where(kept, lam, 0.0))[..., None] * vecs.conj().transpose(0, 2, 1)
+        w[pos[:, :rank]] = rows[:, :rank]
+    if not w.any():
         raise Infeasible(f"every block weight has rank 0 at the rank cutoff atol = {tol.atol:g}")
+    v = u.conj().T @ w
     return v / np.linalg.norm(v)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebras import (
     AlgebraSpec,
+    _block_sums,
     _state_in_algebra,
     is_trace_vector,
 )
@@ -146,34 +147,14 @@ def condexp_channel(alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Cha
     """
     if not alg.is_unital:
         raise NotUnitalAlgebra("the projection onto a non-unital algebra is not trace preserving")
+    u, d = alg.basis_change, alg.dim
     blocks = (
-        np.einsum("asx,bsy->abxy", g.conj(), g).reshape(m * m, alg.dim, alg.dim) * np.sqrt(1.0 / m)
-        for (m, _), g in zip(alg.blocks, alg._grids)
+        np.einsum("asx,bsy->abxy", g.conj(), g).reshape(m * m, d, d) * np.sqrt(1.0 / m)
+        for (m, n), off in zip(alg.blocks, alg.block_offsets())
+        for g in [u[off : off + m * n].reshape(m, n, d)]  # the block's rows of U
     )
     # the per-block list is freed once concatenated, before from_kraus copies the stack
     return from_kraus(np.concatenate(list(blocks)), tol)
-
-
-def _shape_groups(alg: AlgebraSpec):
-    """(m, n, pos) for each distinct block shape (m, n) of the algebra, where
-    pos[j, a, s] is the block coordinate of row (a, s) of the j-th block of
-    that shape."""
-    offsets: dict[tuple[int, int], list[int]] = {}
-    for shape, off in zip(alg.blocks, alg.block_offsets()):
-        offsets.setdefault(shape, []).append(off)
-    for (m, n), offs in offsets.items():
-        yield m, n, np.add.outer(offs, np.arange(m * n)).reshape(-1, m, n)
-
-
-def _projected_rows(s: np.ndarray, m: int, pos: np.ndarray) -> np.ndarray:
-    """The rows of P'S' in the blocks at pos, for S' given as (d, d, d, d).
-
-    P' averages each diagonal block of a matrix in block coordinates over
-    its multiplicity m, so P'S'[(a, t), (a, u), k, l] of block j is the
-    entry [j, t, u, k, l] of the result for every a < m. Every other row of
-    P'S', off the diagonal blocks or in the zero summand, vanishes.
-    """
-    return s[pos[..., None], pos[..., None, :]].sum(axis=1) / m
 
 
 def verify_condexp_axioms(
@@ -237,7 +218,7 @@ def verify_condexp_axioms(
     s = superoperator(Channel(u @ ch.kraus @ u.conj().T)).reshape(d, d, d, d)
 
     fixes = bimodule = 0.0
-    for m, n, pos in _shape_groups(alg):
+    for m, n, pos in alg._shape_groups:
         pos_t = pos.transpose(0, 2, 1)
         j, r = np.arange(len(pos))[:, None, None], np.arange(n)
         # (x, y) = ((a, s), (a, t)) of block j runs over the support of b'_jst
@@ -248,7 +229,8 @@ def verify_condexp_axioms(
         fix[x, y, j[..., None], r[:, None], r] -= 1.0
         fixes = max(fixes, float(np.abs(fix).max()))
 
-        ps = _projected_rows(s, m, pos)
+        # row ((a, t), (a, u)) of P'S' is ps[j, t, u] for every a; its other rows vanish
+        ps = _block_sums(s, pos) / m
         # S' L_b'_jst is S'[:, :, (c, s), l] at column ((c, t), l), and
         # L_b'_jst P'S' is ps[j, t, u] at row ((a, s), (a, u)). Where both are
         # nonzero, the residual is both[j, a, s, u, c, l] - mixed[j, t, u, c, l]

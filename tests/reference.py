@@ -19,7 +19,13 @@ privacy check with one apply_matrix call per state, against which the
 chunked check is required to give the same residuals bit for bit.
 reference_sample_row is
 the CLI's sample row one ket at a time, through density_to_bloch, against
-which the batched rows are required to agree byte for byte. tensor,
+which the batched rows are required to agree byte for byte.
+reference_max_entangled and reference_orbit_seed set the seeds of the
+trace-vector constructions one diagonal entry at a time.
+reference_trace_violation and reference_is_separating contract the whole
+stacked canonical basis, and reference_trace_vector_wrt solves each block
+from its own (m, n, d) grid of U's rows, against which the per-block
+matrices of the library are compared. tensor,
 hs_inner and matrices_equal are assertion helpers that the library itself
 has no use for.
 """
@@ -30,7 +36,7 @@ from pqclab.algebras import canonical_basis, projection_superoperator
 from pqclab.bloch import PAULIS, PauliTransfer, density_to_bloch
 from pqclab.channels import choi, from_kraus, kraus_from_choi, superoperator
 from pqclab.condexp import AxiomReport, PqcReport
-from pqclab.errors import DimensionMismatch
+from pqclab.errors import DimensionMismatch, Infeasible
 from pqclab.io import matrix_to_json
 from pqclab.linalg import DEFAULT_TOL, as_cmatrix, is_psd, max_abs_diff, partial_trace, vec
 from pqclab.rand import haar_unitary
@@ -176,7 +182,7 @@ def reference_axioms(ch, alg, tol=DEFAULT_TOL):
     from the eigenvalues of the d^2 x d^2 Choi matrix."""
     n = alg.dim
     s = superoperator(ch)
-    basis = alg._basis_stack
+    basis = np.array(canonical_basis(alg))
     flat = basis.reshape(alg.num_basis, -1)
     fixes = float(np.max(np.abs(flat @ s.T - flat)))
 
@@ -236,3 +242,65 @@ def reference_sample_row(ket):
         "bloch": [float(x) + 0.0 for x in r],
         "amplitudes": matrix_to_json(ket),
     }
+
+
+def reference_trace_violation(v, alg, rho0):
+    """max_k |<v|b_k|v> - trace(rho0 b_k)| over the (num_basis, d, d) stack
+    of the canonical basis."""
+    basis = np.array(canonical_basis(alg))
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    lhs = np.einsum("kij,i,j->k", basis, v.conj(), v)
+    rhs = np.einsum("kij,ji->k", basis, as_cmatrix(rho0))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def reference_is_separating(v, alg, tol=DEFAULT_TOL):
+    """Full column rank of the stacked images (basis element) |v>, with the
+    cutoff atol * max(largest singular value, 1)."""
+    basis = np.array(canonical_basis(alg))
+    images = np.einsum("kij,j->ik", basis, np.asarray(v, dtype=np.complex128).reshape(-1))
+    s = np.linalg.svd(images, compute_uv=False)
+    cutoff = tol.atol * max(float(s[0]), 1.0)
+    return int(np.sum(s > cutoff)) == alg.num_basis
+
+
+def reference_trace_vector_wrt(alg, rho0, tol=DEFAULT_TOL):
+    """trace_vector_wrt one block at a time on the block's rows of U, shaped
+    (m, n, d): the block weight as a three-operand einsum, and the vector
+    accumulated block by block; rho0 is taken to lie in the algebra."""
+    rho0 = as_cmatrix(rho0)
+    u, v = alg.basis_change, np.zeros(alg.dim, dtype=np.complex128)
+    for (m, n), off in zip(alg.blocks, alg.block_offsets()):
+        g = u[off : off + m * n].reshape(m, n, alg.dim)
+        w = np.einsum("asx,xy,aty->st", g, rho0, g.conj())
+        lam, vecs = np.linalg.eigh((w.T + w.conj()) / 2)
+        order = np.argsort(lam)[::-1]
+        lam, vecs = np.clip(lam[order], 0.0, None), vecs[:, order]
+        rank = int(np.sum(lam > tol.atol))
+        if rank > m:
+            raise Infeasible(f"block weight rank {rank} above multiplicity {m}")
+        comp = np.sqrt(lam[:rank]) * vecs[:, :rank].conj()
+        v += np.einsum("sa,asx->x", comp, g[:rank].conj())
+    if not v.any():
+        raise Infeasible("every block weight has rank 0")
+    return v / np.linalg.norm(v)
+
+
+def reference_max_entangled(m, n):
+    """(1/sqrt(n)) sum_{i<n} e_i (x) f_i, one entry per loop step."""
+    v = np.zeros(m * n, dtype=np.complex128)
+    for i in range(n):
+        v[i * n + i] = 1.0
+    return v / np.sqrt(n)
+
+
+def reference_orbit_seed(alg):
+    """sqrt(m_i / d) on the diagonal of each block's (m_i, n_i) component
+    matrix, one entry per loop step."""
+    v0 = np.zeros(alg.dim, dtype=np.complex128)
+    for (m, n), off in zip(alg.blocks, alg.block_offsets()):
+        block = np.zeros(m * n, dtype=np.complex128)
+        for l in range(n):
+            block[l * n + l] = np.sqrt(m / alg.dim)
+        v0[off : off + m * n] = block
+    return v0

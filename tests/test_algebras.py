@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pqclab.algebras import (
     AlgebraSpec,
+    _orbit_seed_and_step,
     canonical_basis,
     diagonal_algebra,
     full_matrix_algebra,
@@ -28,7 +29,14 @@ from pqclab.errors import (
 )
 from pqclab.linalg import ToleranceConfig, max_abs_diff, partial_trace, vec
 from pqclab.rand import haar_unitary, random_block_algebra, random_unit_vector
-from reference import hs_inner, matrices_equal, reference_projection, tensor
+from reference import (
+    hs_inner,
+    matrices_equal,
+    reference_max_entangled,
+    reference_orbit_seed,
+    reference_projection,
+    tensor,
+)
 
 DELTA2 = diagonal_algebra(2)
 SCALAR2 = scalar_algebra(2)
@@ -237,6 +245,15 @@ class TestIsSeparating:
         for _ in range(10):
             assert not is_separating(random_unit_vector(2, rng), FULL2)
 
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [1.0, np.inf], [0.5, complex(0.5, np.nan)]])
+    def test_rejects_non_finite_vectors(self, v):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            is_separating(np.array(v), DELTA2)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DimensionMismatch):
+            is_separating(np.array([1.0, 0.0, 0.0]), DELTA2)
+
 
 class TestExistence:
     def test_admitting_shapes(self):
@@ -271,6 +288,16 @@ class TestMaxEntangled:
     def test_rejects_thin_blocks(self):
         with pytest.raises(ValueError):
             max_entangled_trace_vector(1, 2)
+
+    def test_seeds_are_the_diagonal_loops_bit_for_bit(self):
+        for m in range(1, 7):
+            for n in range(1, m + 1):
+                got = max_entangled_trace_vector(m, n)
+                assert got.dtype == np.complex128
+                assert got.tobytes() == reference_max_entangled(m, n).tobytes()
+                alg = AlgebraSpec(((m, n), (2, 1), (m, n)))
+                seed = _orbit_seed_and_step(alg)[0]
+                assert seed.tobytes() == reference_orbit_seed(alg).tobytes()
 
 
 class TestOrthonormalBasis:

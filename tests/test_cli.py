@@ -440,15 +440,19 @@ REGEN_GOLDENS = Path(__file__).resolve().parent.parent / "scripts" / "regen_gold
 
 
 class TestRegenGoldensCheck:
-    def test_checked_in_goldens_do_not_drift(self):
+    def test_checked_in_goldens_do_not_drift(self, tmp_path):
+        # as the README runs it, from a checkout where pqclab is not installed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         proc = subprocess.run(
             [sys.executable, str(REGEN_GOLDENS), "--check"],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=env,
+            cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "drift" not in proc.stdout
+        assert proc.stdout.endswith("0 file(s) would change\n")
 
     def test_lists_every_drifted_golden_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         spec = importlib.util.spec_from_file_location("regen_goldens", REGEN_GOLDENS)

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,15 +9,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqclab import channels, condexp
+from pqclab import algebras, channels, condexp
 from pqclab.algebras import (
     AlgebraSpec,
     diagonal_algebra,
     full_matrix_algebra,
+    is_separating,
+    is_trace_vector,
     project_onto_algebra,
     projection_superoperator,
     scalar_algebra,
     trace_vector_onb,
+    trace_vector_wrt,
 )
 from pqclab.bloch import AllStates, GreatCircle, classify
 from pqclab.channels import (
@@ -44,7 +50,13 @@ from pqclab.errors import (
     Rho0NotInAlgebra,
 )
 from pqclab.linalg import max_abs_diff, partial_trace
-from pqclab.rand import haar_unitary, random_block_algebra, random_ru_channel, random_unit_vector
+from pqclab.rand import (
+    haar_unitary,
+    random_block_algebra,
+    random_density,
+    random_ru_channel,
+    random_unit_vector,
+)
 from reference import (
     hs_inner,
     isometry_channel,
@@ -54,8 +66,11 @@ from reference import (
     reference_choi,
     reference_condexp,
     reference_is_pqc,
+    reference_is_separating,
     reference_projection_superoperator,
     reference_superoperator,
+    reference_trace_vector_wrt,
+    reference_trace_violation,
     tensor,
 )
 
@@ -338,12 +353,63 @@ class TestLoopReferences:
         d = alg.dim
         # the rows of P' 1 = P', placed back at every multiplicity index a
         p_block = np.zeros((d, d, d, d), dtype=np.complex128)
-        for m, _, pos in condexp._shape_groups(alg):
-            rows = condexp._projected_rows(np.eye(d * d).reshape(d, d, d, d), m, pos)
+        for m, _, pos in alg._shape_groups:
+            rows = algebras._block_sums(np.eye(d * d).reshape(d, d, d, d), pos) / m
             p_block[pos[..., None], pos[..., None, :]] = rows[:, None]
         uu = np.kron(alg.basis_change, alg.basis_change.conj())
-        want = uu @ projection_superoperator(alg) @ uu.conj().T
+        want = uu @ reference_projection_superoperator(alg) @ uu.conj().T
         assert max_abs_diff(p_block.reshape(d * d, d * d), want) <= 1e-12
+
+    @pytest.mark.parametrize("shape", HAAR_SHAPES)
+    def test_trace_vector_checks_match_the_basis_stack(self, shape):
+        blocks, zero_dim = shape
+        rng = np.random.default_rng(60 + len(blocks) + 7 * zero_dim)
+        alg = _haar_algebra(blocks, zero_dim, rng)
+        d, u = alg.dim, alg.basis_change
+        admits = all(m >= n for m, n in blocks)
+        randoms = [random_unit_vector(d, rng) for _ in range(5)]
+        # one block with m >= n cut to rank n - 1 by its smallest singular value
+        w = u @ random_unit_vector(d, rng)
+        (m, n), off = next((b, o) for b, o in zip(blocks, alg.block_offsets()) if b[0] >= b[1])
+        left, svals, right = np.linalg.svd(w[off : off + m * n].reshape(m, n))
+        svals[-1] = 0.0
+        w[off : off + m * n] = ((left[:, :n] * svals) @ right).reshape(-1)
+        deficient = u.conj().T @ w / np.linalg.norm(w)
+        vectors = randoms + [deficient]
+        if admits and zero_dim == 0:
+            vectors += trace_vector_onb(alg)
+        # states of the algebra's own and off it; the check takes either
+        inside = project_onto_algebra(alg, random_density(d, rng))
+        rhos = [inside / np.trace(inside).real, random_density(d, rng), np.eye(d) / d]
+        for v in vectors:
+            for rho in rhos:
+                got = is_trace_vector(v, alg, rho).max_violation
+                assert abs(got - reference_trace_violation(v, alg, rho)) <= 1e-14
+            assert is_separating(v, alg) is reference_is_separating(v, alg)
+        assert [is_separating(v, alg) for v in randoms] == [admits] * len(randoms)
+        assert not is_separating(deficient, alg)
+        # the rank cutoff scales with the largest singular value of all blocks:
+        # block 0 at 1e6 hides the others at 1e-4
+        w = u @ randoms[0]
+        w[: blocks[0][0] * blocks[0][1]] *= 1e10
+        lopsided = u.conj().T @ w * 1e-4
+        assert is_separating(lopsided, alg) is reference_is_separating(lopsided, alg)
+        assert is_separating(lopsided, alg) is (admits and len(blocks) == 1)
+
+    @pytest.mark.parametrize("blocks", UNITAL_SHAPES)
+    def test_trace_vector_wrt_matches_the_grid_einsum(self, blocks):
+        rng = np.random.default_rng(80 + sum(m * n for m, n in blocks))
+        alg = _haar_algebra(blocks, 0, rng)
+        x = random_unit_vector(alg.dim, rng)
+        # block weights with distinct eigenvalues, whose eigenvectors rounding
+        # cannot rotate: a pure state's projection is feasible on every shape
+        rhos = [project_onto_algebra(alg, np.outer(x, x.conj()))]
+        if all(m >= n for m, n in blocks):
+            rhos.append(project_onto_algebra(alg, random_density(alg.dim, rng)))
+        for rho in rhos:
+            got = trace_vector_wrt(alg, rho)
+            assert max_abs_diff(got, reference_trace_vector_wrt(alg, rho)) <= 1e-12
+            assert is_trace_vector(got, alg, rho).passed
 
     def test_one_superoperator_and_no_choi_per_check(self, monkeypatch):
         calls = {"superoperator": 0, "choi": 0}
@@ -541,6 +607,19 @@ class TestEquivalenceSweepScript:
         assert sweep.run(algebras=3, vectors=5, seed=1, max_dim=6) == 0
         out = capsys.readouterr().out
         assert "disagreements between the two routes: 0 / 15 random draws" in out
+
+    def test_runs_from_a_checkout_without_pythonpath(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        argv = ["--algebras", "1", "--vectors", "2", "--max-dim", "4"]
+        proc = subprocess.run(
+            [sys.executable, str(EQUIVALENCE_SWEEP), *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "disagreements between the two routes: 0 / 2 random draws" in proc.stdout
 
 
 class TestCollectiveNoise:
