@@ -9,7 +9,10 @@ matrices
 
 so U carries computational coordinates to the internal block coordinates
 X' = U X U^dag, where every computation here works on index grids of the
-blocks; only canonical_basis builds basis matrices.
+blocks; only canonical_basis builds basis matrices. The two trace-vector
+constructions are closed forms on those grids: each vector of the
+orthonormal basis is a Fourier sum per block shape, and the trace vector
+with respect to a state is the PSD square root of each block weight.
 A unit vector v is a trace vector with respect to a state rho0 when
 <v|a|v> = trace(rho0 a) for every algebra element a; checking the canonical
 basis suffices by linearity. With V the (m, n) reshape of a block of U v
@@ -289,53 +292,36 @@ def max_entangled_trace_vector(m: int, n: int) -> np.ndarray:
     return np.eye(m, n, dtype=np.complex128).reshape(-1) / np.sqrt(n)
 
 
-def _orbit_seed_and_step(alg: AlgebraSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Internal-coordinate seed vector v0 and unitary R whose orbit
-    {R^a v0 : a < n} is an orthonormal family of trace vectors.
-
-    R restricts to each block as C_i (x) D_i with C_i diagonal in the
-    Fourier basis of the multiplicity factor and D_i a phase ramp on the
-    block factor. The eigenphases of R are staggered so that each block
-    claims a disjoint run of n-th roots of unity, every root carrying
-    weight exactly 1/n of v0; orthogonality of the orbit is then a
-    character sum, and both factors leave the trace-vector property intact
-    (C_i commutes with the algebra, D_i is a member of it).
-    """
-    n = alg.dim
-    omega = np.exp(2j * np.pi / n)
-    v0 = np.zeros(n, dtype=np.complex128)
-    step = np.zeros((n, n), dtype=np.complex128)
-    offs = alg.block_offsets()
-    idx = 0
-    for i, (m, ni) in enumerate(alg.blocks):
-        # block seed: sqrt(m/n) * sum_{l<ni} |e_l f_l>, squared norm m ni / n
-        v0[offs[i] : offs[i + 1]] = np.eye(m, ni).reshape(-1) * np.sqrt(m / n)
-        f = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
-        c = (f * (omega ** (idx + np.arange(m) * ni))) @ f.conj().T
-        dphase = np.diag(omega ** np.arange(ni))
-        step[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = np.kron(c, dphase)
-        idx += m * ni
-    return v0, step
-
-
 def trace_vector_onb(alg: AlgebraSpec) -> list[np.ndarray]:
-    """An orthonormal basis of C^n made entirely of trace vectors of the
-    algebra (with respect to 1_n/n).
+    """An orthonormal basis of C^d made entirely of trace vectors of the
+    algebra (with respect to 1_d/d).
 
-    Exists iff has_trace_vector; built as the orbit of a block direct sum
-    of maximally entangled vectors under a shift-and-phase unitary.
+    Exists iff has_trace_vector, which raises NotUnitalAlgebra for a
+    non-unital algebra. Vector a < d is U^dag y_a with, on each block of
+    shape (m, n) and row (r, l) at block coordinate pos(r, l),
+
+        y_a[pos(r, l)] = (m d)^{-1/2} sum_{k<m} e^{2 pi i (r - l) k / m} w^{pos(k, l) a},
+
+    w = e^{2 pi i / d}. These are the powers R^a y_0 of the seed y_0, which
+    is sqrt(m/d) at rows (l, l) of every block, under the unitary R that is
+    diagonal in the multiplicity Fourier basis with eigenvalue w^p at block
+    coordinate p. On each block R is a unitary of the multiplicity factor
+    times the phase w^l on the block factor, a unitary of the algebra, so it
+    maps trace vectors to trace vectors; the seed has weight 1/d on each
+    eigenvector of R, so <y_a|y_b> is the character sum
+    sum_p w^{p (b - a)} / d = delta_ab.
     """
-    if not alg.is_unital:
-        raise NotUnitalAlgebra("orthonormal trace-vector bases require a unital algebra")
     if not has_trace_vector(alg):
         raise NoTraceVectors(f"some block has m < n: {alg.blocks}")
-    v, step = _orbit_seed_and_step(alg)
-    udag = alg.basis_change.conj().T
-    out = []
-    for _ in range(alg.dim):
-        out.append(udag @ v)
-        v = step @ v
-    return out
+    d = alg.dim
+    ys = np.zeros((d, d), dtype=np.complex128)  # [a, block coordinate]
+    for m, n, pos in alg._shape_groups:
+        # integer exponents reduced mod m and mod d, so exp only sees phases below 2 pi
+        r_minus_l = np.subtract.outer(np.arange(m), np.arange(n))
+        fourier = np.exp(2j * np.pi * ((r_minus_l[:, None] * np.arange(m)[:, None]) % m) / m)
+        orbit = np.exp(2j * np.pi * ((pos * np.arange(d)[:, None, None, None]) % d) / d)
+        ys[:, pos] = np.einsum("rkl,ajkl->ajrl", fourier, orbit) * np.sqrt(1 / (m * d))
+    return list(ys @ alg.basis_change.conj())
 
 
 def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -343,10 +329,13 @@ def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL)
 
     rho0 must itself lie in the algebra. Per block the condition pins the
     Gram matrix of the vector's (multiplicity x size) component matrix V to
-    V^dag V = W^T, W the block sums of U rho0 U^dag, solved by an
-    eigendecomposition square root padded to m_i rows and placed in block
-    coordinates. Ranks count eigenvalues above atol; a block weight of rank
-    above m_i is infeasible, and so is rank 0 in every block.
+    V^dag V = W^T, W the block sums of U rho0 U^dag. Where n_i <= m_i, the
+    first n_i rows of V are the PSD square root of W^T, which does not
+    depend on the eigenbasis a degenerate weight leaves to rounding, so v is
+    continuous in U and rho0; where m_i < n_i they are the rank rows
+    sqrt(lam_a) conj(eigenvector a). Ranks count eigenvalues above atol,
+    which also cut the square root; a block weight of rank above m_i is
+    infeasible, and so is rank 0 in every block.
     """
     if not alg.is_unital:
         raise NotUnitalAlgebra("trace vectors with respect to a state require a unital algebra")
@@ -364,7 +353,10 @@ def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL)
             raise Infeasible(f"a ({m}, {n}) block weight has rank {rank} above multiplicity {m}")
         # row a < rank of V is sqrt(lam_a) times the conjugate of eigenvector a
         rows = np.sqrt(np.where(kept, lam, 0.0))[..., None] * vecs.conj().transpose(0, 2, 1)
-        w[pos[:, :rank]] = rows[:, :rank]
+        if n <= m:
+            w[pos[:, :n]] = vecs @ rows
+        else:
+            w[pos[:, :rank]] = rows[:, :rank]
     if not w.any():
         raise Infeasible(f"every block weight has rank 0 at the rank cutoff atol = {tol.atol:g}")
     v = u.conj().T @ w

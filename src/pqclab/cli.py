@@ -6,7 +6,8 @@ reads the document from stdin. Machine output (default --format json) is a
 RunReport with stable field order; identical inputs produce byte-identical
 output. Exit codes: 0 for a completed run (including false verdicts);
 1 for anything that fails while reading, decoding or validating an input
-file, for a bad --samples or PQCLAB_TOL, and for a failed write of --out;
+file, for a bad --samples or PQCLAB_TOL, for --onb given with --check or
+--rho0, and for a failed write of --out;
 2 for any PqclabError or ValueError raised once all inputs are built, such
 as a non-unital input, a dimension mismatch or a --tol below float
 rounding. Stdout is empty unless the exit code is 0.
@@ -152,10 +153,9 @@ def cmd_classify(args, tol: ToleranceConfig) -> RunReport:
     if isinstance(tag, GreatCircle):
         result["normal"] = _floats(tag.normal)
     if args.samples:
-        rows = _sample_rows(sample_private_states(tag, args.samples))
-        result["samples"] = rows
-        if args.out:
-            _write_sample_csv(args.out, rows)
+        result["samples"] = _sample_rows(sample_private_states(tag, args.samples))
+    if args.out:
+        _write_sample_csv(args.out, result.get("samples", []))
     return RunReport("classify", tol.atol, result)
 
 
@@ -169,6 +169,8 @@ def cmd_check_pqc(args, tol: ToleranceConfig) -> RunReport:
 
 
 def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
+    if args.onb and (args.check is not None or args.rho0 is not None):
+        raise CliFailure(1, "--onb takes neither --check nor --rho0")
     alg = _parse(args.algebra, "algebra", lambda doc: algebra_from_spec(doc, tol))
     result: dict
     if args.onb:
@@ -181,7 +183,8 @@ def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
                 {"no_trace_vectors": True, "blocks": [[m, n] for m, n in alg.blocks]},
             )
         rho0 = DensityOperator(np.eye(alg.dim) / alg.dim, tol)
-        gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
+        mat = np.array(vectors)
+        gram = mat.conj() @ mat.T
         worst = max(is_trace_vector(v, alg, rho0, tol).max_violation for v in vectors)
         result = {
             "onb": matrix_to_json(vectors),

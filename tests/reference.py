@@ -20,12 +20,17 @@ chunked check is required to give the same residuals bit for bit.
 reference_sample_row is
 the CLI's sample row one ket at a time, through density_to_bloch, against
 which the batched rows are required to agree byte for byte.
-reference_max_entangled and reference_orbit_seed set the seeds of the
-trace-vector constructions one diagonal entry at a time.
-reference_trace_violation and reference_is_separating contract the whole
-stacked canonical basis, and reference_trace_vector_wrt solves each block
-from its own (m, n, d) grid of U's rows, against which the per-block
-matrices of the library are compared. tensor,
+reference_max_entangled sets the maximally entangled seed one diagonal
+entry at a time. reference_trace_vector_onb builds the orthonormal
+trace-vector basis as the orbit of a seed under a d x d step unitary,
+d - 1 products in turn, against which the library's closed form for every
+vector is compared. reference_trace_violation and reference_is_separating
+contract the whole stacked canonical basis, and reference_trace_vector_wrt
+solves each block from its own (m, n, d) grid of U's rows, with the same
+square root as the library, against which the per-block matrices of the
+library are compared. D32_SHAPES are the d = 32 block shapes, every block
+with m >= n, on which the constructions are checked at the largest
+dimension the CLI accepts. tensor,
 hs_inner and matrices_equal are assertion helpers that the library itself
 has no use for.
 """
@@ -40,6 +45,8 @@ from pqclab.errors import DimensionMismatch, Infeasible
 from pqclab.io import matrix_to_json
 from pqclab.linalg import DEFAULT_TOL, as_cmatrix, is_psd, max_abs_diff, partial_trace, vec
 from pqclab.rand import haar_unitary
+
+D32_SHAPES = [((32, 1),), ((8, 2), (16, 1)), ((4, 4), (16, 1)), ((1, 1),) * 32]
 
 
 def tensor(a, b):
@@ -279,8 +286,13 @@ def reference_trace_vector_wrt(alg, rho0, tol=DEFAULT_TOL):
         rank = int(np.sum(lam > tol.atol))
         if rank > m:
             raise Infeasible(f"block weight rank {rank} above multiplicity {m}")
-        comp = np.sqrt(lam[:rank]) * vecs[:, :rank].conj()
-        v += np.einsum("sa,asx->x", comp, g[:rank].conj())
+        if n <= m:
+            # comp[s, a] = V[a, s], V the PSD square root of W^T in rows a < n
+            comp = (vecs[:, :rank] * np.sqrt(lam[:rank])) @ vecs[:, :rank].conj().T
+            comp, rows = comp.T, n
+        else:
+            comp, rows = np.sqrt(lam[:rank]) * vecs[:, :rank].conj(), rank
+        v += np.einsum("sa,asx->x", comp, g[:rows].conj())
     if not v.any():
         raise Infeasible("every block weight has rank 0")
     return v / np.linalg.norm(v)
@@ -294,13 +306,25 @@ def reference_max_entangled(m, n):
     return v / np.sqrt(n)
 
 
-def reference_orbit_seed(alg):
-    """sqrt(m_i / d) on the diagonal of each block's (m_i, n_i) component
-    matrix, one entry per loop step."""
-    v0 = np.zeros(alg.dim, dtype=np.complex128)
+def reference_trace_vector_onb(alg):
+    """The orthonormal trace-vector basis as an orbit: the seed with
+    sqrt(m_i / d) on the diagonal of each block's (m_i, n_i) component
+    matrix, stepped d - 1 times by the d x d unitary that is
+    F_i diag(w^(idx + k n_i)) F_i^dag (x) diag(w^l) on block i, F_i the
+    m_i x m_i Fourier matrix, idx the block's offset and w = e^{2 pi i / d}."""
+    d = alg.dim
+    omega = np.exp(2j * np.pi / d)
+    v = np.zeros(d, dtype=np.complex128)
+    step = np.zeros((d, d), dtype=np.complex128)
     for (m, n), off in zip(alg.blocks, alg.block_offsets()):
-        block = np.zeros(m * n, dtype=np.complex128)
+        sl = slice(off, off + m * n)
         for l in range(n):
-            block[l * n + l] = np.sqrt(m / alg.dim)
-        v0[off : off + m * n] = block
-    return v0
+            v[off + l * n + l] = np.sqrt(m / d)
+        f = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
+        c = (f * (omega ** (off + np.arange(m) * n))) @ f.conj().T
+        step[sl, sl] = np.kron(c, np.diag(omega ** np.arange(n)))
+    udag, out = alg.basis_change.conj().T, []
+    for _ in range(d):
+        out.append(udag @ v)
+        v = step @ v
+    return out

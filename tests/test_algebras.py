@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from pqclab.algebras import (
     AlgebraSpec,
-    _orbit_seed_and_step,
     canonical_basis,
     diagonal_algebra,
     full_matrix_algebra,
@@ -30,10 +29,10 @@ from pqclab.errors import (
 from pqclab.linalg import ToleranceConfig, max_abs_diff, partial_trace, vec
 from pqclab.rand import haar_unitary, random_block_algebra, random_unit_vector
 from reference import (
+    D32_SHAPES,
     hs_inner,
     matrices_equal,
     reference_max_entangled,
-    reference_orbit_seed,
     reference_projection,
     tensor,
 )
@@ -295,9 +294,6 @@ class TestMaxEntangled:
                 got = max_entangled_trace_vector(m, n)
                 assert got.dtype == np.complex128
                 assert got.tobytes() == reference_max_entangled(m, n).tobytes()
-                alg = AlgebraSpec(((m, n), (2, 1), (m, n)))
-                seed = _orbit_seed_and_step(alg)[0]
-                assert seed.tobytes() == reference_orbit_seed(alg).tobytes()
 
 
 class TestOrthonormalBasis:
@@ -330,6 +326,16 @@ class TestOrthonormalBasis:
         assert max_abs_diff(gram, np.eye(alg.dim)) < 1e-9
         rho0 = np.eye(alg.dim) / alg.dim
         for v in onb:
+            assert is_trace_vector(v, alg, rho0).passed
+            assert is_separating(v, alg)
+
+    @pytest.mark.parametrize("blocks", D32_SHAPES)
+    def test_d32_basis_is_orthonormal_to_rounding(self, blocks):
+        alg = AlgebraSpec(blocks, 0, haar_unitary(32, np.random.default_rng(len(blocks))))
+        mat = np.array(trace_vector_onb(alg))
+        assert max_abs_diff(mat.conj() @ mat.T, np.eye(32)) <= 1e-14
+        rho0 = np.eye(32) / 32
+        for v in mat:
             assert is_trace_vector(v, alg, rho0).passed
             assert is_separating(v, alg)
 
@@ -383,6 +389,27 @@ class TestTraceVectorWrt:
     def test_rejects_non_unital(self):
         with pytest.raises(NotUnitalAlgebra):
             trace_vector_wrt(AlgebraSpec(((2, 1),), 1), np.eye(3) / 3)
+
+    @pytest.mark.parametrize("blocks", [((4, 2), (2, 2)), ((3, 2), (1, 1)), ((8, 2), (16, 1))])
+    def test_maximally_mixed_is_the_first_basis_vector(self, blocks):
+        d = sum(m * n for m, n in blocks)
+        alg = AlgebraSpec(blocks, 0, haar_unitary(d, np.random.default_rng(d)))
+        v = trace_vector_wrt(alg, np.eye(d) / d)
+        assert max_abs_diff(v, trace_vector_onb(alg)[0]) <= 1e-15
+
+    @pytest.mark.parametrize("blocks", [((4, 2), (2, 2)), ((3, 2),), ((2, 2), (3, 3), (2, 1))])
+    def test_continuous_in_the_basis_change_at_degenerate_weights(self, blocks):
+        # rho0 = 1/d makes every block weight a multiple of 1, whose eigenbasis
+        # rounding decides; the vector must not follow it
+        d = sum(m * n for m, n in blocks)
+        rng = np.random.default_rng(d)
+        u = haar_unitary(d, rng)
+        v = trace_vector_wrt(AlgebraSpec(blocks, 0, u), np.eye(d) / d)
+        for _ in range(5):
+            h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            nudged = u @ (np.eye(d) + 1e-14 * (h - h.conj().T))
+            got = trace_vector_wrt(AlgebraSpec(blocks, 0, nudged), np.eye(d) / d)
+            assert max_abs_diff(got, v) <= 1e-12
 
     @given(st.integers(0, 10**6))
     def test_maximally_mixed_always_feasible_when_vectors_exist(self, seed):

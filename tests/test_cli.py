@@ -18,7 +18,8 @@ from pqclab import cli
 from pqclab.bloch import classify, sample_private_states
 from pqclab.cli import ENV_TOL, MAX_SAMPLES, main
 from pqclab.io import MAX_CHANNEL_DIM, NAMED_CHANNELS, channel_from_spec, matrix_to_json
-from reference import reference_sample_row
+from pqclab.rand import haar_unitary
+from reference import D32_SHAPES, reference_sample_row
 
 DEPHASING_DOC = {"kind": "named", "name": "dephasing_z"}
 IDENTITY_DOC = {"kind": "named", "name": "identity"}
@@ -94,6 +95,24 @@ class TestClassify:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "theta,rx,ry,rz,re0,im0,re1,im1"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize(
+        "doc_in, extra",
+        [
+            (DEPHASING_DOC, []),
+            (DEPHASING_DOC, ["--samples", "0"]),
+            (IDENTITY_DOC, ["--samples", "8"]),
+        ],
+    )
+    def test_out_without_sampled_states_writes_the_header(
+        self, capsys, write_doc, tmp_path, doc_in, extra
+    ):
+        csv_path = tmp_path / "samples.csv"
+        argv = ["classify", write_doc("ch.json", doc_in), *extra, "--out", str(csv_path)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["result"].get("samples", []) == []
+        assert csv_path.read_text() == "theta,rx,ry,rz,re0,im0,re1,im1\n"
 
     def test_antipodal_states_are_reported(self, capsys, write_doc):
         doc_in = {
@@ -236,6 +255,34 @@ class TestTraceVectors:
         doc = json.loads(out)
         assert doc["result"]["no_trace_vectors"] is True
         assert doc["result"]["blocks"] == [[1, 2]]
+
+    @pytest.mark.parametrize(
+        "flag, doc",
+        [("--check", {"vector": [[1, 0], [0, 0]]}), ("--rho0", {"rho0": [[0.5, 0], [0, 0.5]]})],
+    )
+    def test_onb_with_check_or_rho0_exits_1_before_reading_any_file(
+        self, capsys, write_doc, monkeypatch, flag, doc
+    ):
+        def fail(*_args):
+            raise AssertionError("must not be called")
+
+        alg, other = write_doc("alg.json", DELTA2_DOC), write_doc("other.json", doc)
+        monkeypatch.setattr(cli, "_parse", fail)
+        code, out, err = run_cli(capsys, "trace-vectors", alg, "--onb", flag, other)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --onb takes neither --check nor --rho0\n"
+
+    @pytest.mark.parametrize("blocks", D32_SHAPES)
+    def test_onb_at_d32_is_strict_json(self, capsys, write_doc, blocks):
+        u = haar_unitary(32, np.random.default_rng(len(blocks)))
+        doc = {"blocks": [list(b) for b in blocks], "basis_change": matrix_to_json(u)}
+        code, out, _ = run_cli(capsys, "trace-vectors", write_doc("alg.json", doc), "--onb")
+        assert code == 0
+        result = json.loads(out, parse_constant=_reject_constant)["result"]
+        assert len(result["onb"]) == 32
+        assert result["gram_deviation"] <= 1e-14
+        assert result["max_violation"] <= 1e-12
 
     def test_bare_reports_existence(self, capsys, write_doc):
         code, out, _ = run_cli(capsys, "trace-vectors", write_doc("alg.json", DELTA2_DOC))

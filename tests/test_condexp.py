@@ -58,6 +58,7 @@ from pqclab.rand import (
     random_unit_vector,
 )
 from reference import (
+    D32_SHAPES,
     hs_inner,
     isometry_channel,
     matrices_equal,
@@ -69,6 +70,7 @@ from reference import (
     reference_is_separating,
     reference_projection_superoperator,
     reference_superoperator,
+    reference_trace_vector_onb,
     reference_trace_vector_wrt,
     reference_trace_violation,
     tensor,
@@ -254,6 +256,7 @@ HAAR_SHAPES = [
     (((2, 2), (1, 1), (1, 1), (2, 1)), 2),
 ]
 UNITAL_SHAPES = [blocks for blocks, zero_dim in HAAR_SHAPES if zero_dim == 0]
+ONB_SHAPES = [blocks for blocks in UNITAL_SHAPES if all(m >= n for m, n in blocks)]
 
 
 def _haar_algebra(blocks, zero_dim, rng):
@@ -395,6 +398,13 @@ class TestLoopReferences:
         lopsided = u.conj().T @ w * 1e-4
         assert is_separating(lopsided, alg) is reference_is_separating(lopsided, alg)
         assert is_separating(lopsided, alg) is (admits and len(blocks) == 1)
+
+    @pytest.mark.parametrize("blocks", ONB_SHAPES + D32_SHAPES)
+    def test_trace_vector_onb_matches_the_orbit(self, blocks):
+        d = sum(m * n for m, n in blocks)
+        alg = _haar_algebra(blocks, 0, np.random.default_rng(90 + d + len(blocks)))
+        got, want = np.array(trace_vector_onb(alg)), np.array(reference_trace_vector_onb(alg))
+        assert max_abs_diff(got, want) <= 1e-13
 
     @pytest.mark.parametrize("blocks", UNITAL_SHAPES)
     def test_trace_vector_wrt_matches_the_grid_einsum(self, blocks):
@@ -599,14 +609,27 @@ class TestCertificate:
 EQUIVALENCE_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "equivalence_sweep.py"
 
 
+def _load_sweep():
+    spec = importlib.util.spec_from_file_location("equivalence_sweep", EQUIVALENCE_SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    return sweep
+
+
 class TestEquivalenceSweepScript:
     def test_small_sweep_finds_no_disagreement(self, capsys):
-        spec = importlib.util.spec_from_file_location("equivalence_sweep", EQUIVALENCE_SWEEP)
-        sweep = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sweep)
+        sweep = _load_sweep()
         assert sweep.run(algebras=3, vectors=5, seed=1, max_dim=6) == 0
         out = capsys.readouterr().out
-        assert "disagreements between the two routes: 0 / 15 random draws" in out
+        assert "rejected basis vectors: 0 / 14\n" in out
+        assert "disagreements between the two routes: 0 / 29 vectors" in out
+
+    def test_a_basis_both_routes_reject_fails_the_sweep(self, capsys, monkeypatch):
+        sweep = _load_sweep()
+        # the standard basis: no trace-vector basis of the algebras this seed draws
+        monkeypatch.setattr(sweep, "trace_vector_onb", lambda alg: list(np.eye(alg.dim)))
+        assert sweep.run(algebras=3, vectors=5, seed=1, max_dim=6) > 0
+        assert "rejected basis vectors: 0 /" not in capsys.readouterr().out
 
     def test_runs_from_a_checkout_without_pythonpath(self, tmp_path):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -619,7 +642,7 @@ class TestEquivalenceSweepScript:
             cwd=tmp_path,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "disagreements between the two routes: 0 / 2 random draws" in proc.stdout
+        assert "disagreements between the two routes: 0 / 5 vectors" in proc.stdout
 
 
 class TestCollectiveNoise:
