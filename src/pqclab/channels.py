@@ -200,14 +200,9 @@ def apply(ch: Channel, rho: DensityOperator, tol: ToleranceConfig = DEFAULT_TOL)
 def choi(ch: Channel) -> CMatrix:
     """Choi matrix (id (x) ch) applied to the unnormalized maximally
     entangled matrix sum_kl E_kl (x) E_kl; PSD iff the map is CP."""
-    return _choi_from_superoperator(superoperator(ch), ch.dim_in, ch.dim_out)
-
-
-def _choi_from_superoperator(s: np.ndarray, dim_in: int, dim_out: int) -> CMatrix:
-    """The Choi matrix as a reshuffle of the superoperator,
-    J[(k, i), (l, j)] = S[(i, j), (k, l)]."""
-    s = s.reshape(dim_out, dim_out, dim_in, dim_in)
-    return s.transpose(2, 0, 3, 1).reshape(dim_in * dim_out, -1)
+    # J[(k, i), (l, j)] = T[(i, k), (j, l)]
+    t = _kraus_product(ch.kraus).reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
+    return t.transpose(1, 0, 3, 2).reshape(ch.dim_in * ch.dim_out, -1)
 
 
 def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -229,10 +224,16 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT
 def superoperator(ch: Channel) -> CMatrix:
     """Matrix of the channel action on row-major vectorized inputs:
     vec(ch(X)) = S vec(X)."""
-    # sum_a K_a (x) conj(K_a): entry ((i, j), (k, l)) is sum_a K_a[i, k] conj(K_a[j, l])
-    ks = ch.kraus.reshape(len(ch.kraus), -1)
-    s = (ks.T @ ks.conj()).reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
-    return s.transpose(0, 2, 1, 3).reshape(ch.dim_out**2, ch.dim_in**2)
+    # S[(i, j), (k, l)] = T[(i, k), (j, l)]
+    t = _kraus_product(ch.kraus).reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
+    return t.transpose(0, 2, 1, 3).reshape(ch.dim_out**2, ch.dim_in**2)
+
+
+def _kraus_product(kraus: np.ndarray) -> CMatrix:
+    """T[(i, k), (j, l)] = sum_a K_a[i, k] conj(K_a[j, l]) of a (K, d_out, d_in)
+    stack in one product; the superoperator and Choi matrix reshuffle it."""
+    ks = kraus.reshape(len(kraus), -1)
+    return ks.T @ ks.conj()
 
 
 def compose(a: Channel, b: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:

@@ -26,13 +26,7 @@ from .algebras import (
     _state_in_algebra,
     is_trace_vector,
 )
-from .channels import (
-    Channel,
-    DensityOperator,
-    _choi_from_superoperator,
-    from_kraus,
-    superoperator,
-)
+from .channels import Channel, DensityOperator, _kraus_product, from_kraus
 from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector
 from .linalg import DEFAULT_TOL, ToleranceConfig, is_psd
 
@@ -111,9 +105,10 @@ class AxiomReport:
     output leaves the algebra fail here, and it is the identity on any
     algebra-valued map. Within atol it implies E(b1 a b2) = b1 P(E(a)) b2
     for all basis pairs (see verify_condexp_axioms). positive: the Choi
-    matrix is PSD, decided from the eigenvalues of the Kraus Gram matrix
-    or of the Choi matrix, whichever is smaller; the two have the same
-    nonzero spectrum, and neither depends on the coordinates.
+    matrix is PSD, by is_psd (Cholesky, then eigvalsh if that fails) on the
+    Kraus Gram matrix when K < d^2, else on the Kraus product, a permuted
+    Choi matrix; the two share their nonzero spectrum and neither depends
+    on the coordinates.
     trace_preserving: max trace deviation on matrix units.
     """
 
@@ -176,12 +171,11 @@ def verify_condexp_axioms(
 
     The subalgebra axiom is checked on the canonical basis and trace
     preservation on all matrix units. Positivity does not change with the
-    coordinates. It is decided from the eigenvalues of the smaller of two
-    matrices with the same nonzero spectrum: the K x K Gram matrix of the
-    channel's own vectorised Kraus operators when K <= d^2, the d^2 x d^2
-    Choi matrix of S', a unitary conjugate of the channel's, otherwise. With
-    F the d^2 x K matrix of vectorised Kraus operators they are F^dag F and
-    J = F F^dag.
+    coordinates. With F the d^2 x K matrix of vectorised Kraus operators, it
+    is decided by is_psd (Cholesky first, eigvalsh if that fails) on the
+    Gram matrix F^dag F when K < d^2, otherwise on the Kraus product
+    F F^dag, the Choi matrix with rows and columns permuted alike, taken in
+    block coordinates as the T' that S' is read from.
 
     The bimodule axiom E(b1 X b2) = b1 P(E(X)) b2 is checked on the left
     side only. With S the superoperator of E, P that of the projection onto
@@ -208,14 +202,15 @@ def verify_condexp_axioms(
     In block coordinates S' L_b' and L_b' P'S' each have O(m d^3) nonzero
     entries, so all residuals are gathered from slices of S' and of the
     block rows of P'S', blocks of one shape at a time, with no product
-    beyond the one that forms S'.
+    beyond the one that forms T', of which S' is a view.
     """
     d = alg.dim
     if ch.dim_in != d or ch.dim_out != d:
         raise DimensionMismatch(f"channel dims ({ch.dim_in}, {ch.dim_out}) vs algebra dim {d}")
     u = alg.basis_change
-    # S'[x, y, k, l]: rows (x, y) index output matrix units, columns (k, l) input ones
-    s = superoperator(Channel(u @ ch.kraus @ u.conj().T)).reshape(d, d, d, d)
+    # T'[(x, k), (y, l)] of U K_a U^dag is S'[(x, y), (k, l)], viewed as S'[x, y, k, l]
+    t = _kraus_product(u @ ch.kraus @ u.conj().T)
+    s = t.reshape(d, d, d, d).transpose(0, 2, 1, 3)
 
     fixes = bimodule = 0.0
     for m, n, pos in alg._shape_groups:
@@ -246,10 +241,7 @@ def verify_condexp_axioms(
         bimodule = max(bimodule, worst, float(lhs.max()), float(rhs.max()))
 
     ks = ch.kraus.reshape(len(ch.kraus), -1)
-    if len(ks) <= d * d:
-        positive = is_psd(ks @ ks.conj().T, tol)
-    else:
-        positive = is_psd(_choi_from_superoperator(s, d, d), tol)
+    positive = is_psd(ks @ ks.conj().T if len(ks) < d * d else t, tol)
 
     trace_pres = float(np.max(np.abs(np.einsum("xxkl->kl", s) - np.eye(d))))
 

@@ -121,15 +121,22 @@ def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff ``m`` is Hermitian within atol with eigenvalues >= -atol."""
+    """True iff ``m`` is Hermitian within atol with eigenvalues >= -atol.
+    Cholesky of H + atol 1, H = (m + m^dag)/2, succeeds only then (up to
+    rounding) and decides True; if it fails, H's smallest ``eigvalsh`` decides."""
     m = as_cmatrix(m)  # the one conversion and finiteness scan
     if m.shape[0] != m.shape[1]:
         return False
     adj = m.conj().T
     if max_abs_diff(m, adj) > tol.atol:
         return False
-    evals = np.linalg.eigvalsh((m + adj) / 2)
-    return bool(evals.min() >= -tol.atol) if evals.size else True
+    shifted = (m + adj) / 2
+    shifted.flat[:: len(m) + 1] += tol.atol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:  # H formed anew: subtracting atol back would round
+        return bool(np.linalg.eigvalsh((m + adj) / 2).min() >= -tol.atol)
+    return True
 
 
 def max_abs_diff(a, b) -> float:

@@ -30,9 +30,13 @@ solves each block from its own (m, n, d) grid of U's rows, with the same
 square root as the library, against which the per-block matrices of the
 library are compared. D32_SHAPES are the d = 32 block shapes, every block
 with m >= n, on which the constructions are checked at the largest
-dimension the CLI accepts. tensor,
-hs_inner and matrices_equal are assertion helpers that the library itself
-has no use for.
+dimension the CLI accepts. reference_is_psd decides positivity from the
+smallest eigenvalue alone, against which the Cholesky-first check is
+required to give the same verdict at eigenvalues next to -atol, and
+reference_choi_from_superoperator is the Choi matrix as a reshuffle of the
+superoperator, against which the one-reshuffle Choi matrix is required to
+agree bit for bit. tensor, hs_inner and matrices_equal are assertion
+helpers that the library itself has no use for.
 """
 
 import numpy as np
@@ -153,6 +157,23 @@ def reference_choi(ch):
         w = k.T.reshape(-1)
         j += np.outer(w, w.conj())
     return j
+
+
+def reference_choi_from_superoperator(ch):
+    """J[(k, i), (l, j)] = S[(i, j), (k, l)], reshuffled from the
+    superoperator."""
+    s = superoperator(ch).reshape(ch.dim_out, ch.dim_out, ch.dim_in, ch.dim_in)
+    return s.transpose(2, 0, 3, 1).reshape(ch.dim_in * ch.dim_out, -1)
+
+
+def reference_is_psd(m, tol=DEFAULT_TOL):
+    """Hermitian within atol and no eigenvalue of the Hermitian part below
+    -atol, from eigvalsh alone."""
+    m = as_cmatrix(m)
+    if m.shape[0] != m.shape[1] or max_abs_diff(m, m.conj().T) > tol.atol:
+        return False
+    evals = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    return bool(evals.min() >= -tol.atol) if evals.size else True
 
 
 def reference_projection_superoperator(alg):

@@ -34,6 +34,7 @@ from pqclab.rand import haar_unitary, random_density, random_ru_channel
 from reference import (
     isometry_channel,
     matrices_equal,
+    reference_choi_from_superoperator,
     reference_compose,
     reference_convex_mix,
     reference_depolarizing,
@@ -194,6 +195,11 @@ class TestChoi:
         ch = random_ru_channel(3, 2, rng)
         rebuilt = kraus_from_choi(choi(ch), 3, 3)
         assert channels_equal(ch, rebuilt)
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 2), (3, 5), (5, 3), (8, 8)])
+    def test_equals_the_reshuffled_superoperator_bit_for_bit(self, d_in, d_out):
+        ch = isometry_channel(d_in, d_out, 3, np.random.default_rng(10 * d_in + d_out))
+        assert np.array_equal(choi(ch), reference_choi_from_superoperator(ch))
 
     def test_kraus_from_choi_drops_null_directions(self):
         rebuilt = kraus_from_choi(choi(DEPHASING), 2, 2)

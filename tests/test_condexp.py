@@ -86,6 +86,9 @@ MIXED2 = DensityOperator(np.eye(2) / 2)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 DEPHASING = random_unitary([0.5, 0.5], [np.eye(2), SZ])
 
+# d = 32 axiom-check shapes: K = 32, 16, 4, 320 and 1024 = d^2 Kraus operators
+D32_AXIOM_SHAPES = [((1, 1),) * 32, ((4, 8),), ((2, 16),), ((8, 2), (16, 1)), ((32, 1),)]
+
 
 def _equator_state(theta):
     return np.array([1.0, np.exp(1j * theta)]) / np.sqrt(2)
@@ -216,6 +219,19 @@ class TestAxioms:
         alg = random_block_algebra(np.random.default_rng(seed), max_dim=8, admit_trace_vectors=None)
         assert verify_condexp_axioms(condexp_channel(alg), alg).passed
 
+    @pytest.mark.parametrize("blocks", D32_AXIOM_SHAPES)
+    def test_d32_closed_forms_pass_and_haar_mixes_fail(self, blocks, monkeypatch):
+        rng = np.random.default_rng(320 + len(blocks))
+        alg = _haar_algebra(blocks, 0, rng)
+        ch = condexp_channel(alg)
+        record = _AxiomCheckRecord(monkeypatch)
+        assert verify_condexp_axioms(ch, alg).passed
+        # from K = d^2 on, positivity is decided on the Kraus product itself
+        assert (record.psd_arg is record.product) is (len(ch.kraus) >= 32 * 32)
+        mixed = convex_mix([1 - 1e-3, 1e-3], [ch, from_kraus([haar_unitary(32, rng)])])
+        report = verify_condexp_axioms(mixed, alg)
+        assert report.positive and report.bimodule > 1e-6 and not report.passed
+
     @pytest.mark.parametrize(
         "alg",
         [DELTA2, SCALAR2, TWO_BY_M2],
@@ -262,6 +278,42 @@ ONB_SHAPES = [blocks for blocks in UNITAL_SHAPES if all(m >= n for m, n in block
 def _haar_algebra(blocks, zero_dim, rng):
     d = sum(m * n for m, n in blocks) + zero_dim
     return AlgebraSpec(blocks, zero_dim, haar_unitary(d, rng))
+
+
+class _AxiomCheckRecord:
+    """Counts the Kraus products, Choi matrices and superoperators that
+    axiom checks form, and keeps the last product and the last matrix
+    is_psd decided on."""
+
+    NAMES = ("_kraus_product", "choi", "superoperator")
+
+    def __init__(self, monkeypatch):
+        self.reset()
+        for name in self.NAMES:
+            wrapped = self._counted(name, getattr(channels, name))
+            monkeypatch.setattr(channels, name, wrapped)
+            monkeypatch.setattr(condexp, name, wrapped, raising=False)
+        is_psd = condexp.is_psd
+
+        def psd(m, tol):
+            self.psd_arg = m
+            return is_psd(m, tol)
+
+        monkeypatch.setattr(condexp, "is_psd", psd)
+
+    def reset(self):
+        self.calls = dict.fromkeys(self.NAMES, 0)
+        self.product = self.psd_arg = None
+
+    def _counted(self, name, fn):
+        def wrapper(*args):
+            self.calls[name] += 1
+            out = fn(*args)
+            if name == "_kraus_product":
+                self.product = out
+            return out
+
+        return wrapper
 
 
 class TestLoopReferences:
@@ -421,25 +473,18 @@ class TestLoopReferences:
             assert max_abs_diff(got, reference_trace_vector_wrt(alg, rho)) <= 1e-12
             assert is_trace_vector(got, alg, rho).passed
 
-    def test_one_superoperator_and_no_choi_per_check(self, monkeypatch):
-        calls = {"superoperator": 0, "choi": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        for name, fn in (("superoperator", channels.superoperator), ("choi", channels.choi)):
-            monkeypatch.setattr(channels, name, counted(name, fn))
-            monkeypatch.setattr(condexp, name, counted(name, fn), raising=False)
+    def test_one_kraus_product_and_no_choi_or_superoperator_per_check(self, monkeypatch):
         alg = _haar_algebra(((2, 2), (1, 1)), 0, np.random.default_rng(5))
-        for ch in (condexp_channel(alg), convex_mix([0.5, 0.5], [depolarizing(0.5, 5)] * 2)):
-            calls.update(superoperator=0, choi=0)
+        record = _AxiomCheckRecord(monkeypatch)
+        # K = 5 < d^2 decides positivity on the Gram matrix, K = 50 on the product
+        for ch, on_product in (
+            (condexp_channel(alg), False),
+            (convex_mix([0.5, 0.5], [depolarizing(0.5, 5)] * 2), True),
+        ):
+            record.reset()
             assert verify_condexp_axioms(ch, alg).positive
-            assert calls == {"superoperator": 1, "choi": 0}
-
+            assert record.calls == {"_kraus_product": 1, "choi": 0, "superoperator": 0}
+            assert (record.psd_arg is record.product) is on_product
 
     @staticmethod
     def _pqc_cases(d, rng):

@@ -14,7 +14,9 @@ from pqclab.linalg import (
     partial_trace,
     vec,
 )
-from reference import hs_inner, matrices_equal, tensor
+from pqclab.channels import DensityOperator
+from pqclab.rand import haar_unitary
+from reference import hs_inner, matrices_equal, reference_is_psd, tensor
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -151,6 +153,57 @@ class TestHermitianPsd:
     def test_eigenvalue_threshold(self):
         assert is_psd(np.diag([1.0, -5e-10]))
         assert not is_psd(np.diag([1.0, -2e-9]))
+
+
+def _rotated(evals, rng):
+    """U diag(evals) U^dag for a Haar U."""
+    u = haar_unitary(len(evals), rng)
+    return (u * evals) @ u.conj().T
+
+
+class TestPsdNearThreshold:
+    """Cholesky-first is_psd against the smallest eigenvalue, with one
+    eigenvalue 0.1% inside or outside -atol."""
+
+    SIZES = [2, 16, 128, 256]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_verdict_is_the_eigenvalue_one(self, n, side):
+        rng = np.random.default_rng(n)
+        evals = rng.uniform(0.0, 1.0, n)
+        evals[0] = -DEFAULT_TOL.atol * side
+        m = _rotated(evals, rng)
+        assert is_psd(m) is reference_is_psd(m) is (side < 1)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("side", [1 - 1e-3, 1 + 1e-3])
+    def test_density_operator_takes_the_same_verdict(self, n, side):
+        rng = np.random.default_rng(300 + n)
+        evals = rng.uniform(0.0, 1.0, n)
+        evals[0] = -DEFAULT_TOL.atol * side
+        evals[1:] *= (1.0 - evals[0]) / evals[1:].sum()  # unit trace
+        m = _rotated(evals, rng)
+        assert reference_is_psd(m) is (side < 1)
+        if side < 1:
+            assert DensityOperator(m).dim == n
+        else:
+            with pytest.raises(ValueError, match="PSD"):
+                DensityOperator(m)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("rank", [1, "half"])
+    def test_low_rank_psd_is_decided_by_cholesky(self, n, rank, monkeypatch):
+        rng = np.random.default_rng(500 + n)
+        k = 1 if rank == 1 else n // 2
+        w = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        m = w @ w.conj().T / np.linalg.norm(w) ** 2  # unit trace, rank k
+
+        def no_eigvalsh(_):
+            raise AssertionError("the Cholesky factorization should have decided")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert is_psd(m)
 
 
 class TestHsInner:
