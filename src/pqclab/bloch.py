@@ -6,12 +6,13 @@ channel acts affinely on r as r -> T r + t; the kernel of T determines
 which pure states the channel sends to the maximally mixed state, and
 ``classify`` names that set.
 
-``transfer`` reads (T, t) from the Kraus stack in two contractions over
-the basis (1, sigma_x, sigma_y, sigma_z), and ``is_unital`` reads E(1/d)
-from one product of the stack. So ``classify`` never calls
-``Channel.apply_matrix``, and the channel route of the privacy checks stays
-independent of it. Unit Bloch vectors become kets in one vectorized map,
-of which ``bloch_to_ket`` is the one-row case.
+``transfer`` reads (T, t) from the Kraus stack: the images of the basis
+(1, sigma_x, sigma_y, sigma_z) come from ``channels._sandwich``, the
+two-GEMM kernel behind ``Channel.apply_matrix``, called on the stack
+directly, and one contraction with the basis gives (T, t). ``is_unital``
+reads E(1/d) from one product of the stack. So ``classify`` never calls
+``Channel.apply_matrix``. Unit Bloch vectors become kets in one vectorized
+map, of which ``bloch_to_ket`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, DensityOperator, is_unital
+from .channels import Channel, DensityOperator, _sandwich, is_unital
 from .errors import BlochVectorTooLong, DimensionMismatch, NotUnital
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_cmatrix, freeze, is_hermitian, nullspace_basis
 
@@ -199,14 +200,14 @@ def transfer(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> PauliTransfer:
     t_j = trace(sigma_j ch(1))/2.
 
     Both come from one 4x4 matrix T4_jk = trace(s_j ch(s_k))/2 over
-    s = (1, sigma_x, sigma_y, sigma_z): the images ch(s_k) are one
-    contraction over the Kraus stack and T4 is a second, so T = T4[1:, 1:]
-    and t = T4[1:, 0].
+    s = (1, sigma_x, sigma_y, sigma_z): the images ch(s_k) are the
+    apply_matrix kernel on the stack of the four s_k, the same bits as one
+    apply_matrix call per s_k, and T4 is one contraction of them with the
+    s_j, so T = T4[1:, 1:] and t = T4[1:, 0].
     """
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise DimensionMismatch("transfer is defined for qubit channels only")
-    ks = ch.kraus
-    images = np.einsum("aij,njk,alk->nil", ks, _PAULI_STACK, ks.conj())
+    images = _sandwich(ch.kraus, _PAULI_STACK)
     t4 = np.einsum("jab,kba->jk", _PAULI_STACK, images) / 2
     return PauliTransfer(t4[1:, 1:], t4[1:, 0], tol)
 

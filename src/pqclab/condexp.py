@@ -11,7 +11,9 @@ as independently checkable routes.
 
 A PQCInstance holds its states as one read-only (N, d) stack, and is_pqc
 applies the channel to them through one Channel.apply_matrix call per
-chunk of outer products, the chunks bounded by a fixed byte budget.
+chunk of outer products. A chunk is sized by the largest array a state
+needs in that call: its outer product, its output, or the K·d_out·d_in
+Kraus intermediate of the apply_matrix kernel, whichever is wider.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ __all__ = [
     "collective_noise_channel_n2",
 ]
 
-# bytes of outer products, and of channel outputs, that is_pqc holds at once
+# bytes of the widest per-state array (outer product, output or Kraus
+# intermediate) that one is_pqc chunk holds at once
 _CHUNK_BYTES = 1 << 20
 
 
@@ -255,14 +258,18 @@ def is_pqc(inst: PQCInstance, tol: ToleranceConfig = DEFAULT_TOL) -> PqcReport:
     """True iff the channel sends every listed pure state to the target.
 
     The states' outer products are formed a chunk at a time, and each chunk
-    goes through one Channel.apply_matrix call on its (n, d, d) stack. The
-    chunks stay within a fixed byte budget, so a long list of states never
-    holds all N d x d matrices at once. The residuals, in the order of the
-    states, are the same numbers one apply_matrix call per state gives.
+    goes through one Channel.apply_matrix call on its (n, d_in, d_in) stack.
+    That call holds an (n, K·d_out, d_in) intermediate and one reshaped copy
+    of it, so a chunk holds as many states as fit in a fixed byte budget by
+    the widest of the d_in x d_in input, the d_out x d_out output and the
+    K·d_out x d_in intermediate, and at least one state. The residuals, in
+    the order of the states, are the same numbers one apply_matrix call per
+    state gives.
     """
     states, target = inst.states, inst.rho0.mat
-    d = max(inst.channel.dim_in, inst.channel.dim_out)
-    step = max(1, _CHUNK_BYTES // (states.itemsize * d * d))
+    k, d_out, d_in = inst.channel.kraus.shape
+    widest = max(d_in * d_in, d_out * d_out, k * d_out * d_in)
+    step = max(1, _CHUNK_BYTES // (states.itemsize * widest))
     residuals = []
     for lo in range(0, len(states), step):
         chunk = states[lo : lo + step]

@@ -17,9 +17,11 @@ and one point at a time, against which the two contractions and the
 vectorized map are required to agree bit for bit. reference_is_pqc is the
 privacy check with one apply_matrix call per state, against which the
 chunked check is required to give the same residuals bit for bit.
-reference_sample_row is
-the CLI's sample row one ket at a time, through density_to_bloch, against
-which the batched rows are required to agree byte for byte.
+reference_apply_matrix is the channel action one Kraus operator at a time,
+against which the two-GEMM kernel is required to agree within rounding.
+reference_sample_row is the CLI's sample row one ket at a time, through
+density_to_bloch, against which the batched rows are required to agree
+byte for byte.
 reference_max_entangled sets the maximally entangled seed one diagonal
 entry at a time. reference_trace_vector_onb builds the orthonormal
 trace-vector basis as the orbit of a seed under a d x d step unitary,
@@ -74,6 +76,11 @@ def isometry_channel(d_in, d_out, count, rng):
     """Kraus operators cut from the first d_in columns of a Haar unitary."""
     v = haar_unitary(count * d_out, rng)[:, :d_in]
     return from_kraus(v.reshape(count, d_out, d_in))
+
+
+def reference_apply_matrix(ch, x):
+    """sum_a K_a x K_a^dag, one product pair per Kraus operator."""
+    return sum(k @ x @ k.conj().T for k in ch.kraus)
 
 
 def reference_compose(a, b):

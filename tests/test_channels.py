@@ -34,6 +34,7 @@ from pqclab.rand import haar_unitary, random_density, random_ru_channel
 from reference import (
     isometry_channel,
     matrices_equal,
+    reference_apply_matrix,
     reference_choi_from_superoperator,
     reference_compose,
     reference_convex_mix,
@@ -123,6 +124,18 @@ class TestAction:
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         expected = p * np.trace(x) * np.eye(d) / d + (1 - p) * x
         assert max_abs_diff(ch.apply_matrix(x), expected) < 1e-12
+
+    @pytest.mark.parametrize(
+        "d_in, d_out, count", [(1, 1, 1), (2, 2, 4), (3, 5, 2), (5, 3, 7), (6, 6, 36), (4, 4, 1)]
+    )
+    def test_matches_the_per_operator_loop(self, d_in, d_out, count):
+        rng = np.random.default_rng(100 * d_in + 10 * d_out + count)
+        ch = isometry_channel(d_in, d_out, count, rng)
+        xs = rng.standard_normal((3, d_in, d_in)) + 1j * rng.standard_normal((3, d_in, d_in))
+        got = ch.apply_matrix(xs)
+        for x, y in zip(xs, got):
+            # the sums run in another order, so they agree to rounding only
+            assert max_abs_diff(y, reference_apply_matrix(ch, x)) < 1e-13
 
     def test_fixed_point_is_maximally_mixed(self):
         for d in (2, 3, 4):

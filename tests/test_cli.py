@@ -15,9 +15,16 @@ from hypothesis import strategies as st
 
 import pqclab
 from pqclab import cli
+from pqclab.algebras import trace_vector_onb
 from pqclab.bloch import classify, sample_private_states
 from pqclab.cli import ENV_TOL, MAX_SAMPLES, main
-from pqclab.io import MAX_CHANNEL_DIM, NAMED_CHANNELS, channel_from_spec, matrix_to_json
+from pqclab.io import (
+    MAX_CHANNEL_DIM,
+    NAMED_CHANNELS,
+    algebra_from_spec,
+    channel_from_spec,
+    matrix_to_json,
+)
 from pqclab.rand import haar_unitary
 from reference import D32_SHAPES, reference_sample_row
 
@@ -218,6 +225,19 @@ class TestCheckPqc:
         assert code == 2
         assert out == ""
         assert "DimensionMismatch" in err and "Traceback" not in err
+
+    def test_d32_basis_is_private_and_strict_json(self, capsys, write_doc):
+        u = haar_unitary(32, np.random.default_rng(32))
+        alg_doc = {"blocks": [[1, 1]] * 32, "basis_change": matrix_to_json(u)}
+        onb = trace_vector_onb(algebra_from_spec(alg_doc))
+        ch = write_doc("ch.json", {"kind": "condexp", "algebra": alg_doc})
+        st = write_doc("states.json", {"states": matrix_to_json(onb)})
+        rho = write_doc("rho0.json", {"rho0": matrix_to_json(np.eye(32) / 32)})
+        code, out, _ = run_cli(capsys, "check-pqc", ch, st, rho)
+        assert code == 0
+        result = json.loads(out, parse_constant=_reject_constant)["result"]
+        assert result["verdict"] is True
+        assert len(result["residuals"]) == 32 and max(result["residuals"]) <= 1e-12
 
     def test_residuals_follow_the_order_of_the_states(self, capsys, write_doc):
         s = 1 / np.sqrt(2)

@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ from pqclab.errors import (
     NotUnitVector,
     Rho0NotInAlgebra,
 )
-from pqclab.linalg import max_abs_diff, partial_trace
+from pqclab.linalg import DEFAULT_TOL, max_abs_diff, partial_trace
 from pqclab.rand import (
     haar_unitary,
     random_block_algebra,
@@ -515,7 +516,7 @@ class TestLoopReferences:
 
     def test_is_pqc_equals_the_per_state_loop_across_chunks(self, monkeypatch, apply_calls):
         rng = np.random.default_rng(53)
-        d, budget = 5, 3 * 16 * 7**2 + 7
+        d, budget = 5, 3 * 16 * 3 * 5 * 5 + 7
         monkeypatch.setattr(condexp, "_CHUNK_BYTES", budget)
         chunkings = []
         for ch, target in self._pqc_cases(d, rng):
@@ -524,13 +525,43 @@ class TestLoopReferences:
             want = reference_is_pqc(inst)
             apply_calls.clear()
             assert is_pqc(inst).residuals == want.residuals
-            # a chunk holds as many of the wider of the d x d inputs and the
-            # outputs as fit in the budget
-            step = budget // (16 * max(ch.dim_in, ch.dim_out) ** 2)
+            # a chunk holds as many states as fit in the budget by the widest
+            # of the d_in x d_in input, the d_out x d_out output and the
+            # K d_out x d_in Kraus intermediate, and at least one
+            k, d_out, d_in = ch.kraus.shape
+            step = max(1, budget // (16 * max(d_in**2, d_out**2, k * d_out * d_in)))
             assert apply_calls == [(min(step, 10 - lo), d, d) for lo in range(0, 10, step)]
             chunkings.append([n for n, _, _ in apply_calls])
-        # 5 x 5 outputs fit five to a chunk, 7 x 7 ones three with one left over
-        assert [5, 5] in chunkings and [3, 3, 3, 1] in chunkings
+        # K = 3 on 5 x 5 fits three to a chunk with one left over, K = 2 on
+        # 5 x 5 four, and the K = 25 depolarizing stack one at a time
+        assert [3, 3, 3, 1] in chunkings and [4, 4, 2] in chunkings and [1] * 10 in chunkings
+
+    def test_a_large_kraus_stack_sets_the_step(self, apply_calls):
+        # K = 64 on d = 8: 64 KiB of intermediate per state, 16 states to the
+        # 1 MiB budget, where the 8 x 8 outer products alone would fit 1024
+        rng = np.random.default_rng(54)
+        ch = depolarizing(1.0, 8)
+        states = np.array([random_unit_vector(8, rng) for _ in range(40)])
+        inst = PQCInstance(states, ch, DensityOperator(np.eye(8) / 8))
+        report = is_pqc(inst)
+        assert apply_calls == [(16, 8, 8), (16, 8, 8), (8, 8, 8)]
+        assert report.residuals == reference_is_pqc(inst).residuals
+        assert report.verdict
+
+    def test_peak_memory_on_a_large_kraus_stack_is_one_state_at_a_time(self):
+        # ((16, 1),) has K = 256: one state's intermediate is 1 MiB, so the
+        # whole 16-vector basis at once would hold 32 MiB
+        alg = AlgebraSpec(((16, 1),))
+        rho0 = DensityOperator(np.eye(16) / 16)
+        inst = PQCInstance(trace_vector_onb(alg), condexp_channel(alg), rho0)
+        tracemalloc.start()
+        try:
+            report = is_pqc(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict
+        assert peak < 4 * 2**20
 
 
 @pytest.fixture
@@ -649,6 +680,26 @@ class TestCertificate:
             direct = is_pqc(PQCInstance((v,), ch, rho0)).verdict
             cert = private_states_certificate(alg, rho0, v)
             assert direct == cert
+
+    # ((32, 1),) is left out for time: its K = 1024 channel route takes about 1 s
+    @pytest.mark.parametrize("blocks", D32_SHAPES[1:], ids=["8x2+16x1", "4x4+16x1", "32x1x1"])
+    def test_both_routes_accept_the_whole_d32_basis(self, blocks):
+        alg = AlgebraSpec(blocks, 0, haar_unitary(32, np.random.default_rng(len(blocks))))
+        rho0 = DensityOperator(np.eye(32) / 32)
+        onb = trace_vector_onb(alg)
+        report = is_pqc(PQCInstance(onb, condexp_channel(alg), rho0))
+        assert report.verdict and len(report.residuals) == 32
+        assert all(private_states_certificate(alg, rho0, v) for v in onb)
+
+    def test_both_routes_agree_on_random_d32_vectors(self):
+        rng = np.random.default_rng(32)
+        alg = AlgebraSpec(((1, 1),) * 32, 0, haar_unitary(32, rng))
+        rho0 = DensityOperator(np.eye(32) / 32)
+        vectors = [random_unit_vector(32, rng) for _ in range(50)]
+        report = is_pqc(PQCInstance(vectors, condexp_channel(alg), rho0))
+        direct = [r <= DEFAULT_TOL.atol for r in report.residuals]
+        assert direct == [private_states_certificate(alg, rho0, v) for v in vectors]
+        assert not any(direct)  # a random vector is no trace vector
 
 
 EQUIVALENCE_SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "equivalence_sweep.py"
