@@ -7,169 +7,27 @@ picture and private-state classification, ``algebras`` the block-form
 C*-algebras and trace-vector theory, ``condexp`` the conditional
 expectation channels tying the two together, and ``cli``/``io`` the
 command-line surface with its JSON formats.
+
+Each layer's ``__all__`` decides what it makes public; the package
+re-exports exactly those names.
 """
 
-from .algebras import (
-    AlgebraSpec,
-    TraceVectorReport,
-    canonical_basis,
-    diagonal_algebra,
-    full_matrix_algebra,
-    has_trace_vector,
-    is_separating,
-    is_trace_vector,
-    max_entangled_trace_vector,
-    project_onto_algebra,
-    scalar_algebra,
-    trace_vector_onb,
-    trace_vector_wrt,
-)
-from .bloch import (
-    PAULIS,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    AllStates,
-    AntipodalPair,
-    BlochVector,
-    Empty,
-    GreatCircle,
-    PauliTransfer,
-    PrivateStateSet,
-    bloch_to_density,
-    bloch_to_ket,
-    classify,
-    density_to_bloch,
-    sample_private_states,
-    transfer,
-)
-from .channels import (
-    Channel,
-    DensityOperator,
-    apply,
-    channels_equal,
-    choi,
-    compose,
-    convex_mix,
-    depolarizing,
-    from_kraus,
-    is_unital,
-    kraus_from_choi,
-    random_unitary,
-    superoperator,
-)
-from .condexp import (
-    AxiomReport,
-    PqcReport,
-    PQCInstance,
-    collective_noise_channel_n2,
-    condexp_channel,
-    is_pqc,
-    private_states_certificate,
-    verify_condexp_axioms,
-)
-from .errors import (
-    BlochVectorTooLong,
-    DimensionMismatch,
-    Infeasible,
-    NoTraceVectors,
-    NotAProbabilityDistribution,
-    NotTracePreserving,
-    NotUnital,
-    NotUnitalAlgebra,
-    NotUnitary,
-    NotUnitVector,
-    PqclabError,
-    Rho0NotInAlgebra,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    CMatrix,
-    ToleranceConfig,
-    is_psd,
-    max_abs_diff,
-    nullspace_basis,
-    partial_trace,
-)
+from . import algebras, bloch, channels, condexp, errors, linalg
+from .algebras import *  # noqa: F403
+from .bloch import *  # noqa: F403
+from .channels import *  # noqa: F403
+from .condexp import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .linalg import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # linalg
-    "CMatrix",
-    "ToleranceConfig",
-    "DEFAULT_TOL",
-    "partial_trace",
-    "nullspace_basis",
-    "is_psd",
-    "max_abs_diff",
-    # channels
-    "Channel",
-    "DensityOperator",
-    "from_kraus",
-    "random_unitary",
-    "depolarizing",
-    "convex_mix",
-    "apply",
-    "choi",
-    "kraus_from_choi",
-    "superoperator",
-    "compose",
-    "is_unital",
-    "channels_equal",
-    # bloch
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "PAULIS",
-    "BlochVector",
-    "PauliTransfer",
-    "PrivateStateSet",
-    "Empty",
-    "AntipodalPair",
-    "GreatCircle",
-    "AllStates",
-    "density_to_bloch",
-    "bloch_to_density",
-    "bloch_to_ket",
-    "transfer",
-    "classify",
-    "sample_private_states",
-    # algebras
-    "AlgebraSpec",
-    "TraceVectorReport",
-    "diagonal_algebra",
-    "scalar_algebra",
-    "full_matrix_algebra",
-    "canonical_basis",
-    "project_onto_algebra",
-    "is_trace_vector",
-    "is_separating",
-    "has_trace_vector",
-    "max_entangled_trace_vector",
-    "trace_vector_onb",
-    "trace_vector_wrt",
-    # condexp
-    "PQCInstance",
-    "AxiomReport",
-    "PqcReport",
-    "condexp_channel",
-    "verify_condexp_axioms",
-    "is_pqc",
-    "private_states_certificate",
-    "collective_noise_channel_n2",
-    # errors
-    "PqclabError",
-    "DimensionMismatch",
-    "NotTracePreserving",
-    "NotAProbabilityDistribution",
-    "NotUnitary",
-    "BlochVectorTooLong",
-    "NotUnital",
-    "NotUnitVector",
-    "NotUnitalAlgebra",
-    "NoTraceVectors",
-    "Rho0NotInAlgebra",
-    "Infeasible",
+    *linalg.__all__,
+    *channels.__all__,
+    *bloch.__all__,
+    *algebras.__all__,
+    *condexp.__all__,
+    *errors.__all__,
 ]

@@ -53,7 +53,6 @@ __all__ = [
     "full_matrix_algebra",
     "canonical_basis",
     "project_onto_algebra",
-    "projection_superoperator",
     "is_trace_vector",
     "is_separating",
     "has_trace_vector",
@@ -206,13 +205,8 @@ class TraceVectorReport:
     basis; the check passes when it stays within atol.
     """
 
-    vector: np.ndarray
-    rho0: DensityOperator
     max_violation: float
     passed: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", freeze(np.asarray(self.vector, dtype=np.complex128)))
 
 
 def _as_state(rho0, dim: int, tol: ToleranceConfig) -> DensityOperator:
@@ -261,7 +255,7 @@ def is_trace_vector(v, alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TO
     for _, _, pos in alg._shape_groups:
         gram = w[pos].conj().transpose(0, 2, 1) @ w[pos]
         violation = max(violation, float(np.abs(gram - _block_sums(rho_t, pos)).max()))
-    return TraceVectorReport(v, state, violation, violation <= tol.atol)
+    return TraceVectorReport(violation, violation <= tol.atol)
 
 
 def is_separating(v, alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -57,7 +57,7 @@ from .io import (
     json_to_vector,
     matrix_to_json,
 )
-from .linalg import ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig
 
 ENV_TOL = "PQCLAB_TOL"
 
@@ -276,15 +276,15 @@ def _render_text(report: RunReport) -> str:
 
 
 def _resolve_tol(args) -> ToleranceConfig:
-    atol = 1e-9
-    env = os.environ.get(ENV_TOL)
-    if env is not None:
+    """--tol, else PQCLAB_TOL, else DEFAULT_TOL; the variable is read only
+    when the flag is absent."""
+    atol = args.tol
+    if atol is None:
+        env = os.environ.get(ENV_TOL)
         try:
-            atol = float(env)
+            atol = DEFAULT_TOL.atol if env is None else float(env)
         except ValueError as exc:
             raise CliFailure(1, f"cannot parse {ENV_TOL}={env!r} as a float") from exc
-    if args.tol is not None:
-        atol = args.tol
     try:
         return ToleranceConfig(atol)
     except ValueError as exc:
@@ -299,7 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=None, help="absolute tolerance (default 1e-9)")
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=None,
+            help=f"absolute tolerance (default {DEFAULT_TOL.atol:g})",
+        )
         p.add_argument(
             "--format", choices=["json", "text"], default="json", help="output format"
         )

@@ -5,6 +5,21 @@ dimensions; callers that want to branch on failure mode catch the specific
 subclass.
 """
 
+__all__ = [
+    "PqclabError",
+    "DimensionMismatch",
+    "NotTracePreserving",
+    "NotAProbabilityDistribution",
+    "NotUnitary",
+    "BlochVectorTooLong",
+    "NotUnital",
+    "NotUnitVector",
+    "NotUnitalAlgebra",
+    "NoTraceVectors",
+    "Rho0NotInAlgebra",
+    "Infeasible",
+]
+
 
 class PqclabError(Exception):
     """Base class for all package-specific errors."""

@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebras import AlgebraSpec
 from .channels import Channel, depolarizing, from_kraus, random_unitary
+from .condexp import collective_noise_channel_n2, condexp_channel
 from .errors import PqclabError
 from .linalg import DEFAULT_TOL, ToleranceConfig
 
@@ -34,7 +35,18 @@ __all__ = [
     "MAX_CHANNEL_DIM",
 ]
 
-NAMED_CHANNELS = ("identity", "completely_depolarizing", "dephasing_z", "frame_n2")
+# name -> (builder of (d, tol), fixed dimension or None); a name without a
+# fixed dimension takes the document's d, default 2
+_NAMED_REGISTRY = {
+    "identity": (lambda d, tol: from_kraus([np.eye(d)], tol), None),
+    "completely_depolarizing": (lambda d, tol: depolarizing(1.0, d), None),
+    "dephasing_z": (
+        lambda d, tol: random_unitary([0.5, 0.5], [np.eye(2), np.diag([1.0, -1.0])], tol),
+        2,
+    ),
+    "frame_n2": (lambda d, tol: collective_noise_channel_n2()[0], 4),
+}
+NAMED_CHANNELS = tuple(_NAMED_REGISTRY)
 
 # Largest d a depolarizing or named channel document, or the sum of an
 # algebra document's blocks, may ask for. A depolarizing channel has d^2
@@ -141,17 +153,12 @@ def algebra_to_spec(alg: AlgebraSpec) -> dict:
 
 
 def _named_channel(name: str, d: int | None, tol: ToleranceConfig) -> Channel:
-    if name == "identity":
-        return from_kraus([np.eye(d or 2)], tol)
-    if name == "completely_depolarizing":
-        return depolarizing(1.0, d or 2)
-    if name == "dephasing_z":
-        return random_unitary([0.5, 0.5], [np.eye(2), np.diag([1.0, -1.0])], tol)
-    if name == "frame_n2":
-        from .condexp import collective_noise_channel_n2
-
-        return collective_noise_channel_n2()[0]
-    raise SpecFormatError(f"unknown channel name {name!r}; known: {', '.join(NAMED_CHANNELS)}")
+    if name not in _NAMED_REGISTRY:
+        raise SpecFormatError(f"unknown channel name {name!r}; known: {', '.join(NAMED_CHANNELS)}")
+    build, fixed = _NAMED_REGISTRY[name]
+    if fixed is not None and d not in (None, fixed):
+        raise SpecFormatError(f"named channel {name!r} has fixed dimension {fixed}, got d = {d}")
+    return build(fixed or d or 2, tol)
 
 
 def channel_from_spec(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -173,8 +180,6 @@ def channel_from_spec(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
     if kind == "depolarizing":
         return depolarizing(_json_real(_require(obj, "p")), _json_dim(_require(obj, "d")))
     if kind == "condexp":
-        from .condexp import condexp_channel
-
         return condexp_channel(algebra_from_spec(_require(obj, "algebra"), tol), tol)
     if kind == "named":
         d = obj.get("d")

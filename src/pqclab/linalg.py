@@ -20,14 +20,10 @@ __all__ = [
     "CMatrix",
     "ToleranceConfig",
     "DEFAULT_TOL",
-    "as_cmatrix",
-    "freeze",
     "partial_trace",
     "nullspace_basis",
     "is_psd",
-    "is_hermitian",
     "max_abs_diff",
-    "vec",
 ]
 
 

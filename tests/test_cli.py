@@ -480,6 +480,14 @@ class TestPlumbing:
         assert code == 1
         assert ENV_TOL in err
 
+    def test_flag_overrides_an_unparsable_env_tolerance(self, capsys, write_doc, monkeypatch):
+        monkeypatch.setenv(ENV_TOL, "tiny")
+        code, out, _ = run_cli(
+            capsys, "classify", write_doc("ch.json", IDENTITY_DOC), "--tol", "1e-9"
+        )
+        assert code == 0
+        assert json.loads(out)["tolerance"] == 1e-9
+
     def test_output_is_deterministic(self, capsys, write_doc):
         path = write_doc("ch.json", DEPHASING_DOC)
         _, first, _ = run_cli(capsys, "classify", path, "--samples", "8")
@@ -588,6 +596,11 @@ class TestMalformedInput:
                 ["check-pqc", {"kind": "named", "name": "completely_depolarizing", "d": 33},
                  {"states": [[1, 0]]}, HALF2],
                 id="named-d-over-cap",
+            ),
+            pytest.param(
+                ["check-pqc", {"kind": "named", "name": "dephasing_z", "d": 32},
+                 {"states": [[1, 0]]}, HALF2],
+                id="named-d-not-the-fixed-dimension",
             ),
             pytest.param(["condexp", {"blocks": [[3000, 1]]}, "--verify"], id="huge-algebra"),
             pytest.param(["condexp", {"blocks": [[33, 1]]}, "--verify"], id="algebra-over-cap"),

@@ -727,6 +727,20 @@ class TestEquivalenceSweepScript:
         assert sweep.run(algebras=3, vectors=5, seed=1, max_dim=6) > 0
         assert "rejected basis vectors: 0 /" not in capsys.readouterr().out
 
+    def test_sweep_up_to_d32_finds_no_disagreement(self, monkeypatch, capsys):
+        sweep = _load_sweep()
+        draw, dims = sweep.random_block_algebra, []
+
+        def recording(*args, **kwargs):
+            alg = draw(*args, **kwargs)
+            dims.append(alg.dim)
+            return alg
+
+        monkeypatch.setattr(sweep, "random_block_algebra", recording)
+        assert sweep.run(10, 10, 20260821, 32) == 0
+        assert len(dims) == 10 and max(dims) >= 24
+        assert "disagreements between the two routes: 0 /" in capsys.readouterr().out
+
     def test_runs_from_a_checkout_without_pythonpath(self, tmp_path):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         argv = ["--algebras", "1", "--vectors", "2", "--max-dim", "4"]

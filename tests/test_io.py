@@ -184,6 +184,17 @@ class TestChannelSpecs:
     def test_named_registry_is_stable(self):
         assert NAMED_CHANNELS == ("identity", "completely_depolarizing", "dephasing_z", "frame_n2")
 
+    @pytest.mark.parametrize("name, d", [("dephasing_z", 3), ("dephasing_z", 32), ("frame_n2", 7)])
+    def test_a_d_other_than_the_fixed_dimension_is_rejected(self, name, d):
+        with pytest.raises(SpecFormatError, match="fixed dimension"):
+            channel_from_spec({"kind": "named", "name": name, "d": d})
+
+    @pytest.mark.parametrize("name, d", [("dephasing_z", 2), ("frame_n2", 4)])
+    def test_the_fixed_dimension_is_accepted_as_d(self, name, d):
+        ch = channel_from_spec({"kind": "named", "name": name, "d": d})
+        assert (ch.dim_in, ch.dim_out) == (d, d)
+        assert channels_equal(ch, channel_from_spec({"kind": "named", "name": name}))
+
 
 class TestAlgebraSpecs:
     def test_minimal_document(self):
