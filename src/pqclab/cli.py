@@ -2,12 +2,13 @@
 
 Subcommands: classify, check-pqc, trace-vectors, condexp, demo-frame.
 Every file argument is a JSON document (see docs/file_formats.md) and "-"
-reads the document from stdin. Machine output (default --format json) is a
-RunReport with stable field order; identical inputs produce byte-identical
-output. Exit codes: 0 for a completed run (including false verdicts);
-1 for anything that fails while reading, decoding or validating an input
-file, for a bad --samples or PQCLAB_TOL, for --onb given with --check or
---rho0, and for a failed write of --out;
+reads it from stdin, for at most one input. Each cmd_* returns its result
+dict; main is the one place that builds the RunReport, written as JSON
+(default) or text, and maps exceptions to exit codes. Exit codes: 0 for a
+completed run (including false verdicts); 1 for anything that fails while
+reading, decoding or validating an input file, for "-" given twice, for a
+bad --samples or PQCLAB_TOL, for --onb given with --check or --rho0, and
+for a failed write of --out;
 2 for any PqclabError or ValueError raised once all inputs are built, such
 as a non-unital input, a dimension mismatch or a --tol below float
 rounding. Stdout is empty unless the exit code is 0.
@@ -65,13 +66,12 @@ ENV_TOL = "PQCLAB_TOL"
 # report, so time and memory grow with the count; the cap bounds both.
 MAX_SAMPLES = 10_000
 
+# argparse dests that name an input file; stdin ("-") can feed only one
+_INPUTS = ("channel", "states", "rho0", "algebra", "check")
+
 
 class CliFailure(Exception):
-    """Abort the command with a message and a contract exit code."""
-
-    def __init__(self, exit_code: int, message: str):
-        super().__init__(message)
-        self.exit_code = exit_code
+    """Abort the command with a message; main exits 1."""
 
 
 def _parse(path: str, what: str, build):
@@ -88,7 +88,7 @@ def _parse(path: str, what: str, build):
             raise SpecFormatError("top-level value must be an object")
         return build(doc)
     except (OSError, ValueError, RecursionError, PqclabError) as exc:
-        raise CliFailure(1, f"bad {what} file {path}: {exc}") from exc
+        raise CliFailure(f"bad {what} file {path}: {exc}") from exc
 
 
 def _rho0(path: str, tol: ToleranceConfig) -> DensityOperator:
@@ -105,7 +105,8 @@ def _states(doc: dict) -> tuple:
 
 
 def _floats(a) -> list:
-    return [float(x) + 0.0 for x in np.asarray(a, dtype=float).reshape(-1)]
+    """A real array of any rank as nested lists, with -0.0 turned into 0.0."""
+    return (np.asarray(a, dtype=float) + 0.0).tolist()
 
 
 def _sample_rows(kets: list[np.ndarray]) -> list[dict]:
@@ -123,102 +124,74 @@ def _sample_rows(kets: list[np.ndarray]) -> list[dict]:
     ]
 
 
-def _write_sample_csv(path: str, rows: list[dict]) -> None:
-    # fixed header, radians, 17 significant digits; meant for external plotting
-    def fmt(x: float) -> str:
-        return f"{x:.17g}"
-
-    lines = ["theta,rx,ry,rz,re0,im0,re1,im1"]
-    for row in rows:
-        amps = [x for pair in row["amplitudes"] for x in pair]
-        lines.append(",".join(fmt(v) for v in ([row["theta"]] + row["bloch"] + amps)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def cmd_classify(args, tol: ToleranceConfig) -> RunReport:
+def cmd_classify(args, tol: ToleranceConfig) -> dict:
     if not 0 <= args.samples <= MAX_SAMPLES:
-        raise CliFailure(1, f"--samples must lie in 0..{MAX_SAMPLES}, got {args.samples}")
+        raise CliFailure(f"--samples must lie in 0..{MAX_SAMPLES}, got {args.samples}")
     ch = _parse(args.channel, "channel", lambda doc: channel_from_spec(doc, tol))
     pt = transfer(ch, tol)
     tag = classify(ch, tol)
-    result = {
-        "tag": tag.tag,
-        "nullity": tag.nullity,
-        "T": [_floats(row) for row in pt.T],
-        "t": _floats(pt.t),
-    }
+    result = {"tag": tag.tag, "nullity": tag.nullity, "T": _floats(pt.T), "t": _floats(pt.t)}
     if isinstance(tag, AntipodalPair):
         result["states"] = matrix_to_json(tag.states)
     if isinstance(tag, GreatCircle):
         result["normal"] = _floats(tag.normal)
+    rows = _sample_rows(sample_private_states(tag, args.samples)) if args.samples else []
     if args.samples:
-        result["samples"] = _sample_rows(sample_private_states(tag, args.samples))
+        result["samples"] = rows
     if args.out:
-        _write_sample_csv(args.out, result.get("samples", []))
-    return RunReport("classify", tol.atol, result)
+        # fixed header, radians, 17 significant digits; meant for external
+        # plotting. The file is opened here: np.savetxt would gzip a .gz path.
+        table = [[r["theta"], *r["bloch"], *np.ravel(r["amplitudes"])] for r in rows]
+        header = "theta,rx,ry,rz,re0,im0,re1,im1"
+        with open(args.out, "w", encoding="utf-8") as fh:
+            np.savetxt(fh, np.reshape(table, (-1, 8)), "%.17g", ",", header=header, comments="")
+    return result
 
 
-def cmd_check_pqc(args, tol: ToleranceConfig) -> RunReport:
+def cmd_check_pqc(args, tol: ToleranceConfig) -> dict:
     ch = _parse(args.channel, "channel", lambda doc: channel_from_spec(doc, tol))
     states = _parse(args.states, "states", _states)
     rho0 = _rho0(args.rho0, tol)
     report = is_pqc(PQCInstance(states, ch, rho0, tol), tol)
-    result = {"verdict": report.verdict, "residuals": [float(r) for r in report.residuals]}
-    return RunReport("check-pqc", tol.atol, result)
+    return {"verdict": report.verdict, "residuals": [float(r) for r in report.residuals]}
 
 
-def cmd_trace_vectors(args, tol: ToleranceConfig) -> RunReport:
+def cmd_trace_vectors(args, tol: ToleranceConfig) -> dict:
     if args.onb and (args.check is not None or args.rho0 is not None):
-        raise CliFailure(1, "--onb takes neither --check nor --rho0")
+        raise CliFailure("--onb takes neither --check nor --rho0")
     alg = _parse(args.algebra, "algebra", lambda doc: algebra_from_spec(doc, tol))
-    result: dict
+    blocks = [[m, n] for m, n in alg.blocks]
+    if args.check:
+        v = _parse(args.check, "vector", lambda doc: json_to_vector(_require(doc, "vector")))
+    rho0 = _rho0(args.rho0, tol) if args.rho0 else DensityOperator(np.eye(alg.dim) / alg.dim, tol)
     if args.onb:
         try:
             vectors = trace_vector_onb(alg)
         except NoTraceVectors:
-            return RunReport(
-                "trace-vectors",
-                tol.atol,
-                {"no_trace_vectors": True, "blocks": [[m, n] for m, n in alg.blocks]},
-            )
-        rho0 = DensityOperator(np.eye(alg.dim) / alg.dim, tol)
+            return {"no_trace_vectors": True, "blocks": blocks}
         mat = np.array(vectors)
         gram = mat.conj() @ mat.T
         worst = max(is_trace_vector(v, alg, rho0, tol).max_violation for v in vectors)
-        result = {
+        return {
             "onb": matrix_to_json(vectors),
             "gram_deviation": float(np.max(np.abs(gram - np.eye(alg.dim)))),
             "max_violation": float(worst),
         }
-    elif args.check:
-        v = _parse(args.check, "vector", lambda doc: json_to_vector(_require(doc, "vector")))
-        rho0 = (
-            _rho0(args.rho0, tol)
-            if args.rho0
-            else DensityOperator(np.eye(alg.dim) / alg.dim, tol)
-        )
+    if args.check:
         report = is_trace_vector(v, alg, rho0, tol)
-        result = {"passed": report.passed, "max_violation": float(report.max_violation)}
-    elif args.rho0:
-        rho0 = _rho0(args.rho0, tol)
+        return {"passed": report.passed, "max_violation": float(report.max_violation)}
+    if args.rho0:
         v = trace_vector_wrt(alg, rho0, tol)
         report = is_trace_vector(v, alg, rho0, tol)
-        result = {
+        return {
             "vector": matrix_to_json(v),
             "passed": report.passed,
             "max_violation": float(report.max_violation),
         }
-    else:
-        result = {
-            "has_trace_vector": has_trace_vector(alg),
-            "dim": alg.dim,
-            "blocks": [[m, n] for m, n in alg.blocks],
-        }
-    return RunReport("trace-vectors", tol.atol, result)
+    return {"has_trace_vector": has_trace_vector(alg), "dim": alg.dim, "blocks": blocks}
 
 
-def cmd_condexp(args, tol: ToleranceConfig) -> RunReport:
+def cmd_condexp(args, tol: ToleranceConfig) -> dict:
     alg = _parse(args.algebra, "algebra", lambda doc: algebra_from_spec(doc, tol))
     ch = condexp_channel(alg, tol)
     result: dict = {"dim": alg.dim}
@@ -228,13 +201,13 @@ def cmd_condexp(args, tol: ToleranceConfig) -> RunReport:
         result["choi"] = matrix_to_json(choi(ch))
     elif args.emit == "transfer":
         pt = transfer(ch, tol)
-        result["transfer"] = {"T": [_floats(r) for r in pt.T], "t": _floats(pt.t)}
+        result["transfer"] = {"T": _floats(pt.T), "t": _floats(pt.t)}
     if args.verify:
         result["axioms"] = asdict(verify_condexp_axioms(ch, alg, tol))
-    return RunReport("condexp", tol.atol, result)
+    return result
 
 
-def cmd_demo_frame(args, tol: ToleranceConfig) -> RunReport:
+def cmd_demo_frame(args, tol: ToleranceConfig) -> dict:
     ch, alg = collective_noise_channel_n2()
     axioms = verify_condexp_axioms(ch, alg, tol)
     rho0 = DensityOperator(np.eye(4) / 4, tol)
@@ -243,7 +216,7 @@ def cmd_demo_frame(args, tol: ToleranceConfig) -> RunReport:
     triplet_proj = u.conj().T @ np.diag([1.0, 1.0, 1.0, 0.0]) @ u
     weight = float(np.real(v.conj() @ triplet_proj @ v))
     verdict = is_pqc(PQCInstance((v,), ch, rho0, tol), tol)
-    result = {
+    return {
         "axioms": asdict(axioms),
         "vector": matrix_to_json(v),
         "triplet_weight": weight,
@@ -251,28 +224,6 @@ def cmd_demo_frame(args, tol: ToleranceConfig) -> RunReport:
         "is_pqc": verdict.verdict,
         "residuals": [float(r) for r in verdict.residuals],
     }
-    return RunReport("demo-frame", tol.atol, result)
-
-
-def _render_text(report: RunReport) -> str:
-    lines = [f"command: {report.command}", f"tolerance: {report.tolerance!r}"]
-
-    def walk(value, indent: str, label: str):
-        if isinstance(value, dict):
-            lines.append(f"{indent}{label}:")
-            for k, v in value.items():
-                walk(v, indent + "  ", k)
-        elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
-            lines.append(f"{indent}{label}:")
-            for i, v in enumerate(value):
-                walk(v, indent + "  ", f"[{i}]")
-        else:
-            lines.append(f"{indent}{label}: {value!r}")
-
-    for key, val in report.result.items():
-        walk(val, "", key)
-    lines.append("exit_code: 0")
-    return "\n".join(lines) + "\n"
 
 
 def _resolve_tol(args) -> ToleranceConfig:
@@ -284,11 +235,11 @@ def _resolve_tol(args) -> ToleranceConfig:
         try:
             atol = DEFAULT_TOL.atol if env is None else float(env)
         except ValueError as exc:
-            raise CliFailure(1, f"cannot parse {ENV_TOL}={env!r} as a float") from exc
+            raise CliFailure(f"cannot parse {ENV_TOL}={env!r} as a float") from exc
     try:
         return ToleranceConfig(atol)
     except ValueError as exc:
-        raise CliFailure(1, str(exc)) from exc
+        raise CliFailure(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,70 +249,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help=f"absolute tolerance (default {DEFAULT_TOL.atol:g})",
+            "--tol", type=float, help=f"absolute tolerance (default {DEFAULT_TOL.atol:g})"
         )
-        p.add_argument(
-            "--format", choices=["json", "text"], default="json", help="output format"
-        )
+        p.add_argument("--format", choices=["json", "text"], default="json", help="output format")
 
     p = sub.add_parser("classify", help="classify the private states of a unital qubit channel")
     p.add_argument("channel", help="channel spec file, or - for stdin")
     p.add_argument("--samples", type=int, default=0, help="sample this many private states")
     p.add_argument("--out", default=None, help="write sampled states as CSV to this path")
-    common(p)
+    common(p, cmd_classify)
 
     p = sub.add_parser("check-pqc", help="check that a channel privatizes the given states")
     p.add_argument("channel")
     p.add_argument("states", help="JSON file with a 'states' array")
     p.add_argument("rho0", help="JSON file with a 'rho0' matrix")
-    common(p)
+    common(p, cmd_check_pqc)
 
     p = sub.add_parser("trace-vectors", help="trace-vector constructions and checks")
     p.add_argument("algebra", help="algebra spec file, or - for stdin")
     p.add_argument("--onb", action="store_true", help="emit an orthonormal trace-vector basis")
     p.add_argument("--check", default=None, help="JSON file with a 'vector' to check")
     p.add_argument("--rho0", default=None, help="JSON file with a 'rho0' matrix")
-    common(p)
+    common(p, cmd_trace_vectors)
 
     p = sub.add_parser("condexp", help="build the conditional expectation channel of an algebra")
     p.add_argument("algebra")
     p.add_argument("--emit", choices=["kraus", "choi", "transfer"], default="kraus")
     p.add_argument("--verify", action="store_true", help="append an axiom report")
-    common(p)
+    common(p, cmd_condexp)
 
     p = sub.add_parser("demo-frame", help="run the two-qubit collective-noise demo end to end")
-    common(p)
+    common(p, cmd_demo_frame)
 
     return parser
-
-
-COMMANDS = {
-    "classify": cmd_classify,
-    "check-pqc": cmd_check_pqc,
-    "trace-vectors": cmd_trace_vectors,
-    "condexp": cmd_condexp,
-    "demo-frame": cmd_demo_frame,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # the first read of stdin drains it, so refuse a second before any
+        if [getattr(args, k, None) for k in _INPUTS].count("-") > 1:
+            raise CliFailure("- (stdin) may be given for at most one input")
         tol = _resolve_tol(args)
-        report = COMMANDS[args.command](args, tol)
-    except CliFailure as exc:
-        code, message = exc.exit_code, str(exc)
-    except OSError as exc:  # writing --out; every input is read through _parse
+        result = args.run(args, tol)
+    except (CliFailure, OSError) as exc:  # OSError: writing --out; inputs go through _parse
         code, message = 1, str(exc)
     except (PqclabError, ValueError) as exc:  # raised once every input is built
         code, message = 2, f"{type(exc).__name__}: {exc}"
     else:
-        sys.stdout.write(report.to_json() if args.format == "json" else _render_text(report))
+        report = RunReport(args.command, tol.atol, result)
+        sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
         return 0
     print(f"error: {message}", file=sys.stderr)
     return code

@@ -49,10 +49,15 @@ _NAMED_REGISTRY = {
 NAMED_CHANNELS = tuple(_NAMED_REGISTRY)
 
 # Largest d a depolarizing or named channel document, or the sum of an
-# algebra document's blocks, may ask for. A depolarizing channel has d^2
-# Kraus operators of size d x d, and the axiom check of an algebra builds
-# d^2 x d^2 superoperators, so memory grows as d^4 (16 MB at d = 32); the cap
-# keeps a hostile document from requesting an unbounded allocation.
+# algebra document's blocks, may ask for; the cap keeps a hostile document
+# from requesting an unbounded allocation. In the library, a depolarizing
+# channel or a ((d,1),) algebra's conditional expectation has d^2 Kraus
+# operators of size d x d, and the axiom check builds d^2 x d^2
+# superoperators: d^4 complex entries each, 16 MB at d = 32. The CLI peaks
+# far higher on such a document: `condexp` on a Haar ((32,1),) algebra
+# writes about 100 MB of JSON and peaks near 610 MB RSS (430 MB with
+# --format text), mostly while it renders the report; ROADMAP.md's item on
+# streaming the report targets that.
 MAX_CHANNEL_DIM = 32
 
 
@@ -195,14 +200,15 @@ def channel_to_spec(ch: Channel) -> dict:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Machine-readable command outcome with stable field order."""
+    """Command outcome with stable field order, rendered as JSON or as text
+    (layout in docs/file_formats.md). A report is only written for a
+    completed run, so both renderings end with exit code 0."""
 
     command: str
     tolerance: float
     result: dict
 
     def to_json(self) -> str:
-        # a report is only written for a completed run, so its exit code is 0
         doc = {
             "command": self.command,
             "tolerance": self.tolerance,
@@ -210,3 +216,23 @@ class RunReport:
             "exit_code": 0,
         }
         return json.dumps(doc, indent=2) + "\n"
+
+    def to_text(self) -> str:
+        lines = [f"command: {self.command}", f"tolerance: {self.tolerance!r}"]
+
+        def walk(value, indent: str, label: str):
+            if isinstance(value, dict):
+                lines.append(f"{indent}{label}:")
+                for k, v in value.items():
+                    walk(v, indent + "  ", k)
+            elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+                lines.append(f"{indent}{label}:")
+                for i, v in enumerate(value):
+                    walk(v, indent + "  ", f"[{i}]")
+            else:
+                lines.append(f"{indent}{label}: {value!r}")
+
+        for key, val in self.result.items():
+            walk(val, "", key)
+        lines.append("exit_code: 0")
+        return "\n".join(lines) + "\n"

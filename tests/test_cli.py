@@ -26,6 +26,7 @@ from pqclab.io import (
     matrix_to_json,
 )
 from pqclab.rand import haar_unitary
+from golden_cases import CASES
 from reference import D32_SHAPES, reference_sample_row
 
 DEPHASING_DOC = {"kind": "named", "name": "dephasing_z"}
@@ -120,6 +121,13 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["result"].get("samples", []) == []
         assert csv_path.read_text() == "theta,rx,ry,rz,re0,im0,re1,im1\n"
+
+    def test_gz_out_path_is_written_as_plain_text(self, capsys, write_doc, tmp_path):
+        path = write_doc("ch.json", DEPHASING_DOC)
+        for name in ("x.csv", "x.csv.gz"):
+            out = str(tmp_path / name)
+            assert run_cli(capsys, "classify", path, "--samples", "8", "--out", out)[0] == 0
+        assert (tmp_path / "x.csv.gz").read_bytes() == (tmp_path / "x.csv").read_bytes()
 
     def test_antipodal_states_are_reported(self, capsys, write_doc):
         doc_in = {
@@ -452,13 +460,37 @@ class TestTightTolerance:
 
 
 class TestPlumbing:
-    def test_text_format(self, capsys, write_doc):
-        code, out, _ = run_cli(
-            capsys, "classify", write_doc("ch.json", IDENTITY_DOC), "--format", "text"
-        )
+    @pytest.mark.parametrize("argv", [argv for _, argv in CASES], ids=[n for n, _ in CASES])
+    def test_text_format(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "text")
         assert code == 0
-        assert out.startswith("command: classify\n")
-        assert out.rstrip().endswith("exit_code: 0")
+        lines = out.splitlines()
+        assert lines[:2] == [f"command: {argv[0]}", "tolerance: 1e-09"]
+        assert lines[-1] == "exit_code: 0" and out.endswith("\n")
+        labels = [line.partition(":")[0] for line in lines[2:-1] if not line.startswith(" ")]
+        _, out_json, _ = run_cli(capsys, *argv)
+        assert labels == list(json.loads(out_json)["result"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-pqc", "-", "-", "{rho}"],
+            ["trace-vectors", "-", "--rho0", "-"],
+            ["trace-vectors", "{alg}", "--check", "-", "--rho0", "-"],
+        ],
+    )
+    def test_stdin_for_two_inputs_exits_1_before_reading_any(
+        self, capsys, write_doc, monkeypatch, argv
+    ):
+        def fail(*_args):
+            raise AssertionError("must not be called")
+
+        files = {"rho": write_doc("rho0.json", HALF2), "alg": write_doc("alg.json", DELTA2_DOC)}
+        monkeypatch.setattr(cli, "_parse", fail)
+        code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert err == "error: - (stdin) may be given for at most one input\n"
 
     def test_env_tolerance_is_used(self, capsys, write_doc, monkeypatch):
         monkeypatch.setenv(ENV_TOL, "1e-6")

@@ -267,3 +267,38 @@ class TestRunReport:
     def test_deterministic(self):
         report = RunReport("demo-frame", 1e-9, {"x": 1.25})
         assert report.to_json() == report.to_json()
+
+    def test_text_layout(self):
+        result = {
+            "tag": "Empty",
+            "passed": True,
+            "x": 0.1,
+            "flat": [1.0, -0.5],
+            "empty": [],
+            "nested": {"inner": {"n": 1}, "ok": False},
+            "rows": [[1.0, 2.0], [3.0]],
+            "items": [{"k": 1e-17}, {"k": [[0.5, 0.0]]}],
+        }
+        assert RunReport("classify", 1e-9, result).to_text() == (
+            "command: classify\n"
+            "tolerance: 1e-09\n"
+            "tag: 'Empty'\n"
+            "passed: True\n"
+            "x: 0.1\n"
+            "flat: [1.0, -0.5]\n"
+            "empty: []\n"
+            "nested:\n"
+            "  inner:\n"
+            "    n: 1\n"
+            "  ok: False\n"
+            "rows:\n"
+            "  [0]: [1.0, 2.0]\n"
+            "  [1]: [3.0]\n"
+            "items:\n"
+            "  [0]:\n"
+            "    k: 1e-17\n"
+            "  [1]:\n"
+            "    k:\n"
+            "      [0]: [0.5, 0.0]\n"
+            "exit_code: 0\n"
+        )
