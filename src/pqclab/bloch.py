@@ -6,13 +6,14 @@ channel acts affinely on r as r -> T r + t; the kernel of T determines
 which pure states the channel sends to the maximally mixed state, and
 ``classify`` names that set.
 
-``transfer`` reads (T, t) from the Kraus stack: the images of the basis
-(1, sigma_x, sigma_y, sigma_z) come from ``channels._sandwich``, the
-two-GEMM kernel behind ``Channel.apply_matrix``, called on the stack
-directly, and one contraction with the basis gives (T, t). ``is_unital``
-reads E(1/d) from one product of the stack. So ``classify`` never calls
-``Channel.apply_matrix``. Unit Bloch vectors become kets in one vectorized
-map, of which ``bloch_to_ket`` is the one-row case.
+``transfer`` reads (T, t) from the channel: the images of the basis
+(1, sigma_x, sigma_y, sigma_z) come from one call of ``channels._sandwich``,
+the two-GEMM kernel behind ``Channel.apply_matrix``, on the stack of the
+four and on the channel's cached GEMM operands, without apply_matrix's
+input checks. One contraction with the basis gives (T, t). ``is_unital``
+reads E(1/d) from one product of the Kraus stack. So ``classify`` never
+calls ``Channel.apply_matrix``. Unit Bloch vectors become kets in one
+vectorized map, of which ``bloch_to_ket`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def transfer(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> PauliTransfer:
     """
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise DimensionMismatch("transfer is defined for qubit channels only")
-    images = _sandwich(ch.kraus, _PAULI_STACK)
+    images = _sandwich(ch, _PAULI_STACK)
     t4 = np.einsum("jab,kba->jk", _PAULI_STACK, images) / 2
     return PauliTransfer(t4[1:, 1:], t4[1:, 0], tol)
 

@@ -9,6 +9,7 @@ channel equality always means Choi-matrix equality, never stack equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -98,15 +99,34 @@ class Channel:
     def dim_out(self) -> int:
         return self.kraus.shape[1]
 
+    @cached_property
+    def _gemm_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two read-only operands of :func:`_sandwich`, formed on the
+        first application, so a channel that is only built, written out or
+        checked holds neither.
+
+        ``lhs`` is the stack as a C-order (d_out, K, d_in) array seen as
+        (d_out·K, d_in): row (i, a) is row i of K_a. ``adj_t`` is its
+        conjugate seen as (d_out, K·d_in) and transposed, so
+        adj_t[(a, j), l] = conj(K_a[l, j]). Each is one stack-sized array.
+        """
+        k, d_out, d_in = self.kraus.shape
+        lhs = np.ascontiguousarray(self.kraus.transpose(1, 0, 2)).reshape(d_out * k, d_in)
+        adj_t = lhs.conj().reshape(d_out, k * d_in).T
+        lhs.setflags(write=False)
+        adj_t.setflags(write=False)
+        return lhs, adj_t
+
     def apply_matrix(self, x) -> np.ndarray:
         """Linear action sum_a K_a x K_a^dag on an arbitrary square matrix,
         or on each matrix of an (N, dim_in, dim_in) stack, giving an
         (N, dim_out, dim_out) stack.
 
         The action is two GEMMs on the Kraus stack (:func:`_sandwich`), and a
-        stack gives the same bits as one call per matrix. A call holds about
-        2·N·K·dim_out·dim_in complex entries at its peak (N = 1 for one
-        matrix): the rows of every K_a x and one reshaped copy of them.
+        stack gives the same bits as one call per matrix. Besides its output,
+        a call holds one array of N·K·dim_out·dim_in complex entries (N = 1
+        for one matrix), the rows of every K_a x. The first call also forms
+        the channel's two stack-sized GEMM operands, which later calls reuse.
         """
         x = np.asarray(x, dtype=np.complex128)
         d = self.dim_in
@@ -116,33 +136,25 @@ class Channel:
             )
         if not np.all(np.isfinite(x)):
             raise ValueError("matrix contains NaN or Inf entries")
-        return _sandwich(self.kraus, x)
+        return _sandwich(self, x)
 
 
-def _sandwich(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_a K_a x K_a^dag of a (K, d_out, d_in) stack, for one (d_in, d_in)
-    matrix x or for each matrix of an (N, d_in, d_in) stack, in two GEMMs.
+def _sandwich(ch: Channel, x: np.ndarray) -> np.ndarray:
+    """sum_a K_a x K_a^dag for one (d_in, d_in) matrix x or for each matrix
+    of an (N, d_in, d_in) stack, in two GEMMs on the channel's cached
+    operands.
 
-    The first is Y = [K_1; ...; K_K] x, the rows of every K_a x. Its rows
-    are regrouped so that row i holds (K_a x)[i, :] for every a side by side,
-    and the second GEMM contracts that (d_out, K d_in) matrix with the
-    stacked adjoints [K_1^dag; ...; K_K^dag]. A stack runs the same two 2-D
-    products once per matrix, which keeps it bit-identical to one call per
-    matrix. No input is checked here.
+    The first is Y = lhs x, whose row (i, a) is (K_a x)[i, :]. Rows ordered
+    that way make Y, read as (d_out, K·d_in), hold (K_a x)[i, :] for every
+    a side by side in row i, with no copy, and the second GEMM contracts it
+    with adj_t, the stacked adjoints. A stack runs the same two 2-D products
+    once per matrix, which keeps it bit-identical to one call per matrix.
+    No input is checked here.
     """
-    k, d_out, d_in = kraus.shape
-    lead = x.shape[:-2]
-    # rows[..., i, (a, j)] = (K_a x)[i, j]; Y itself is a temporary, freed
-    # before the adjoints are formed
-    rows = (
-        (kraus.reshape(k * d_out, d_in) @ x)
-        .reshape(*lead, k, d_out, d_in)
-        .swapaxes(-3, -2)
-        .reshape(*lead, d_out, k * d_in)
-    )
-    # adjoint[(a, j), l] = conj(K_a[l, j]), read as the transpose of a C-order copy
-    adjoint = np.conjugate(kraus.transpose(1, 0, 2), order="C").reshape(d_out, k * d_in)
-    return rows @ adjoint.T
+    k, d_out, d_in = ch.kraus.shape
+    lhs, adj_t = ch._gemm_operands
+    # explicit sizes: a -1 cannot be resolved for an empty (0, d_in, d_in) stack
+    return (lhs @ x).reshape(*x.shape[:-2], d_out, k * d_in) @ adj_t
 
 
 def from_kraus(kraus, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:

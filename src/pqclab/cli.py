@@ -7,8 +7,10 @@ dict; main is the one place that builds the RunReport, written as JSON
 (default) or text, and maps exceptions to exit codes. Exit codes: 0 for a
 completed run (including false verdicts); 1 for anything that fails while
 reading, decoding or validating an input file, for "-" given twice, for a
-bad --samples or PQCLAB_TOL, for --onb given with --check or --rho0, and
-for a failed write of --out;
+bad --samples or PQCLAB_TOL, for --onb given with --check or --rho0, for
+classify --out - (stdout carries the report, so the CSV never goes there;
+refused before any input is read), and for a failed write of --out,
+including an empty path;
 2 for any PqclabError or ValueError raised once all inputs are built, such
 as a non-unital input, a dimension mismatch or a --tol below float
 rounding. Stdout is empty unless the exit code is 0.
@@ -127,6 +129,8 @@ def _sample_rows(kets: list[np.ndarray]) -> list[dict]:
 def cmd_classify(args, tol: ToleranceConfig) -> dict:
     if not 0 <= args.samples <= MAX_SAMPLES:
         raise CliFailure(f"--samples must lie in 0..{MAX_SAMPLES}, got {args.samples}")
+    if args.out == "-":
+        raise CliFailure("--out - is refused: stdout carries the JSON report")
     ch = _parse(args.channel, "channel", lambda doc: channel_from_spec(doc, tol))
     pt = transfer(ch, tol)
     tag = classify(ch, tol)
@@ -138,7 +142,7 @@ def cmd_classify(args, tol: ToleranceConfig) -> dict:
     rows = _sample_rows(sample_private_states(tag, args.samples)) if args.samples else []
     if args.samples:
         result["samples"] = rows
-    if args.out:
+    if args.out is not None:
         # fixed header, radians, 17 significant digits; meant for external
         # plotting. The file is opened here: np.savetxt would gzip a .gz path.
         table = [[r["theta"], *r["bloch"], *np.ravel(r["amplitudes"])] for r in rows]
@@ -161,9 +165,12 @@ def cmd_trace_vectors(args, tol: ToleranceConfig) -> dict:
         raise CliFailure("--onb takes neither --check nor --rho0")
     alg = _parse(args.algebra, "algebra", lambda doc: algebra_from_spec(doc, tol))
     blocks = [[m, n] for m, n in alg.blocks]
-    if args.check:
+    if args.check is not None:
         v = _parse(args.check, "vector", lambda doc: json_to_vector(_require(doc, "vector")))
-    rho0 = _rho0(args.rho0, tol) if args.rho0 else DensityOperator(np.eye(alg.dim) / alg.dim, tol)
+    if args.rho0 is not None:
+        rho0 = _rho0(args.rho0, tol)
+    else:
+        rho0 = DensityOperator(np.eye(alg.dim) / alg.dim, tol)
     if args.onb:
         try:
             vectors = trace_vector_onb(alg)
@@ -177,10 +184,10 @@ def cmd_trace_vectors(args, tol: ToleranceConfig) -> dict:
             "gram_deviation": float(np.max(np.abs(gram - np.eye(alg.dim)))),
             "max_violation": float(worst),
         }
-    if args.check:
+    if args.check is not None:
         report = is_trace_vector(v, alg, rho0, tol)
         return {"passed": report.passed, "max_violation": float(report.max_violation)}
-    if args.rho0:
+    if args.rho0 is not None:
         v = trace_vector_wrt(alg, rho0, tol)
         report = is_trace_vector(v, alg, rho0, tol)
         return {

@@ -259,10 +259,12 @@ def is_pqc(inst: PQCInstance, tol: ToleranceConfig = DEFAULT_TOL) -> PqcReport:
 
     The states' outer products are formed a chunk at a time, and each chunk
     goes through one Channel.apply_matrix call on its (n, d_in, d_in) stack.
-    That call holds an (n, K·d_out, d_in) intermediate and one reshaped copy
-    of it, so a chunk holds as many states as fit in a fixed byte budget by
-    the widest of the d_in x d_in input, the d_out x d_out output and the
-    K·d_out x d_in intermediate, and at least one state. The residuals, in
+    Besides its input and output, that call holds one (n, K·d_out, d_in)
+    intermediate, so a chunk holds as many states as fit in a fixed byte
+    budget by the widest of the d_in x d_in input, the d_out x d_out output
+    and the K·d_out x d_in intermediate, and at least one state. The
+    channel's two stack-sized GEMM operands are formed on its first
+    application and kept with it, outside the budget. The residuals, in
     the order of the states, are the same numbers one apply_matrix call per
     state gives.
     """

@@ -22,13 +22,14 @@ from pqclab.channels import (
     random_unitary,
     superoperator,
 )
-from pqclab.condexp import condexp_channel
+from pqclab.condexp import condexp_channel, verify_condexp_axioms
 from pqclab.errors import (
     DimensionMismatch,
     NotAProbabilityDistribution,
     NotTracePreserving,
     NotUnitary,
 )
+from pqclab.io import channel_to_spec
 from pqclab.linalg import is_psd, max_abs_diff, vec
 from pqclab.rand import haar_unitary, random_density, random_ru_channel
 from reference import (
@@ -126,15 +127,20 @@ class TestAction:
         assert max_abs_diff(ch.apply_matrix(x), expected) < 1e-12
 
     @pytest.mark.parametrize(
-        "d_in, d_out, count", [(1, 1, 1), (2, 2, 4), (3, 5, 2), (5, 3, 7), (6, 6, 36), (4, 4, 1)]
+        "d_in, d_out, count",
+        [
+            (1, 1, 1), (2, 2, 4), (3, 5, 2), (5, 3, 7), (6, 6, 36), (4, 4, 1),
+            (1, 4, 1), (4, 1, 5), (2, 5, 40), (5, 2, 17), (3, 7, 40), (7, 3, 3), (6, 4, 29),
+        ],
     )
     def test_matches_the_per_operator_loop(self, d_in, d_out, count):
         rng = np.random.default_rng(100 * d_in + 10 * d_out + count)
         ch = isometry_channel(d_in, d_out, count, rng)
         xs = rng.standard_normal((3, d_in, d_in)) + 1j * rng.standard_normal((3, d_in, d_in))
         got = ch.apply_matrix(xs)
+        # the sums run in another order, so they agree to rounding only
+        assert max_abs_diff(ch.apply_matrix(xs[0]), reference_apply_matrix(ch, xs[0])) < 1e-13
         for x, y in zip(xs, got):
-            # the sums run in another order, so they agree to rounding only
             assert max_abs_diff(y, reference_apply_matrix(ch, x)) < 1e-13
 
     def test_fixed_point_is_maximally_mixed(self):
@@ -164,6 +170,47 @@ class TestAction:
         for x, y in zip(xs, out):
             assert np.array_equal(y, ch.apply_matrix(x))
         assert ch.apply_matrix(xs[:1]).shape == (1, d_out, d_out)
+        assert ch.apply_matrix(xs[:0]).shape == (0, d_out, d_out)
+
+    def test_gemm_operands_are_formed_once_on_first_use_and_read_only(self):
+        k, d_out, d_in = 4, 5, 3
+        ch = isometry_channel(d_in, d_out, k, np.random.default_rng(4))
+        # building, serializing and axiom-checking never apply the channel
+        alg = AlgebraSpec(((2, 2),), 0)
+        built = condexp_channel(alg)
+        channel_to_spec(built)
+        verify_condexp_axioms(built, alg)
+        for unused in (ch, built):
+            assert "_gemm_operands" not in vars(unused)
+        ch.apply_matrix(np.eye(d_in))
+        lhs, adj_t = ch._gemm_operands
+        assert ch._gemm_operands[0] is lhs and ch._gemm_operands[1] is adj_t
+        assert not lhs.flags.writeable and not adj_t.flags.writeable
+        with pytest.raises(ValueError):
+            lhs[0, 0] = 0
+        with pytest.raises(ValueError):
+            adj_t[0, 0] = 0
+        # row (i, a) of lhs is row i of K_a; adj_t[(a, j), l] = conj(K_a[l, j])
+        assert np.array_equal(lhs.reshape(d_out, k, d_in), ch.kraus.transpose(1, 0, 2))
+        assert np.array_equal(adj_t.reshape(k, d_in, d_out), ch.kraus.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("lead", [(), (1,)])
+    def test_a_warm_call_copies_no_kraus_sized_array(self, lead):
+        k, d = 125, 20
+        rng = np.random.default_rng(125)
+        ch = random_unitary(np.full(k, 1 / k), [haar_unitary(d, rng) for _ in range(k)])
+        x = rng.standard_normal((*lead, d, d)) + 1j * rng.standard_normal((*lead, d, d))
+        out = ch.apply_matrix(x)  # forms the cached operands
+        tracemalloc.start()
+        try:
+            ch.apply_matrix(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the rows of every K_a x, the output and slack; a copy of the stack
+        # or of the rows would add another k * d * d entries
+        intermediate = k * d * d * x.itemsize
+        assert peak < intermediate + out.nbytes + intermediate // 8
 
     @pytest.mark.parametrize(
         "x, error",

@@ -644,6 +644,10 @@ class TestMalformedInput:
                 ["classify", DEPHASING_DOC, "--samples", "3", "--out", "{tmp}/absent/x.csv"],
                 id="out-in-missing-directory",
             ),
+            # an empty path is a path like any other, not an absent option
+            pytest.param(["trace-vectors", DELTA2_DOC, "--check", ""], id="empty-check-path"),
+            pytest.param(["trace-vectors", DELTA2_DOC, "--rho0", ""], id="empty-rho0-path"),
+            pytest.param(["classify", DEPHASING_DOC, "--out", ""], id="empty-out-path"),
             pytest.param(["classify", b"\xff\xfe{}"], id="channel-not-utf8"),
             # nesting deeper than the JSON decoder's recursion limit
             pytest.param(["classify", DEEP], id="deeply-nested-document"),
@@ -662,6 +666,15 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_out_dash_is_refused_before_any_input_is_read(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "classify", "absent.json", "--samples", "3", "--out", "-")
+        assert code == 1
+        assert out == ""
+        # the refusal names --out, not the unreadable channel file
+        assert "--out" in err and "absent.json" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def _reject_constant(token):
