@@ -62,6 +62,13 @@ __all__ = [
 ]
 
 
+def _size(x) -> int:
+    """x as an int, if it is a Python or numpy integer and not a bool."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"block sizes and zero_dim must be integers, got {x!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class AlgebraSpec:
     """Block-form C*-algebra U^dag (sum_i 1_{m_i} (x) M_{n_i} (+) 0_k) U.
@@ -84,15 +91,17 @@ class AlgebraSpec:
     tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = tuple((int(m), int(n)) for m, n in self.blocks)
+        blocks = tuple((_size(m), _size(n)) for m, n in self.blocks)
+        zero_dim = _size(self.zero_dim)
         if not blocks:
             raise ValueError("need at least one block")
         if any(m < 1 or n < 1 for m, n in blocks):
             raise ValueError(f"block sizes must be positive, got {blocks}")
-        if self.zero_dim < 0:
-            raise ValueError(f"zero_dim must be nonnegative, got {self.zero_dim}")
+        if zero_dim < 0:
+            raise ValueError(f"zero_dim must be nonnegative, got {zero_dim}")
         object.__setattr__(self, "blocks", blocks)
-        d = sum(m * n for m, n in blocks) + self.zero_dim
+        object.__setattr__(self, "zero_dim", zero_dim)
+        d = sum(m * n for m, n in blocks) + zero_dim
         u = np.eye(d, dtype=np.complex128) if self.basis_change is None else as_cmatrix(self.basis_change)
         if u.shape != (d, d):
             raise DimensionMismatch(f"basis change must be {d}x{d}, got {u.shape}")

@@ -88,6 +88,8 @@ class PauliTransfer:
         t = np.asarray(self.t, dtype=np.complex128)
         if T.shape != (3, 3) or t.shape != (3,):
             raise DimensionMismatch(f"expected 3x3 T and 3-vector t, got {T.shape}, {t.shape}")
+        if not (np.isfinite(T).all() and np.isfinite(t).all()):
+            raise ValueError("transfer parts contain NaN or Inf entries")
         if np.abs(T.imag).max() > self.tol.atol or np.abs(t.imag).max() > self.tol.atol:
             raise ValueError("transfer parts have imaginary residue beyond atol")
         object.__setattr__(self, "T", freeze(T.real))

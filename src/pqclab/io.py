@@ -137,7 +137,8 @@ def algebra_from_spec(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraS
     )
     zero_dim = _json_int(obj.get("zero_dim", 0), "zero_dim")
     d = sum(m * n for m, n in blocks) + zero_dim
-    if d > MAX_CHANNEL_DIM:
+    # a nonpositive size or negative zero_dim is left for AlgebraSpec to name
+    if d > MAX_CHANNEL_DIM and min(min(b) for b in blocks) > 0 and zero_dim >= 0:
         raise SpecFormatError(
             f"algebra dimension sum m*n + zero_dim must be at most {MAX_CHANNEL_DIM}, got {d}"
         )
@@ -145,8 +146,6 @@ def algebra_from_spec(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraS
     u = None if raw_u is None else json_to_matrix(raw_u)
     try:
         return AlgebraSpec(blocks, zero_dim, u, tol)
-    except PqclabError:
-        raise
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from exc
 

@@ -33,12 +33,12 @@ square root as the library, against which the per-block matrices of the
 library are compared. D32_SHAPES are the d = 32 block shapes, every block
 with m >= n, on which the constructions are checked at the largest
 dimension the CLI accepts. reference_is_psd decides positivity from the
-smallest eigenvalue alone, against which the Cholesky-first check is
+smallest eigenvalue alone, against which the library's is_psd is
 required to give the same verdict at eigenvalues next to -atol, and
 reference_choi_from_superoperator is the Choi matrix as a reshuffle of the
 superoperator, against which the one-reshuffle Choi matrix is required to
-agree bit for bit. tensor, hs_inner and matrices_equal are assertion
-helpers that the library itself has no use for.
+agree bit for bit. tensor, hs_inner, matrices_equal and vec are
+assertion helpers that the library itself has no use for.
 """
 
 import numpy as np
@@ -49,7 +49,7 @@ from pqclab.channels import choi, from_kraus, kraus_from_choi, superoperator
 from pqclab.condexp import AxiomReport, PqcReport
 from pqclab.errors import DimensionMismatch, Infeasible
 from pqclab.io import matrix_to_json
-from pqclab.linalg import DEFAULT_TOL, as_cmatrix, is_psd, max_abs_diff, partial_trace, vec
+from pqclab.linalg import DEFAULT_TOL, as_cmatrix, is_psd, max_abs_diff, partial_trace
 from pqclab.rand import haar_unitary
 
 D32_SHAPES = [((32, 1),), ((8, 2), (16, 1)), ((4, 4), (16, 1)), ((1, 1),) * 32]
@@ -58,6 +58,11 @@ D32_SHAPES = [((32, 1),), ((8, 2), (16, 1)), ((4, 4), (16, 1)), ((1, 1),) * 32]
 def tensor(a, b):
     """Kronecker product of two matrices; output dimensions multiply."""
     return np.kron(as_cmatrix(a), as_cmatrix(b))
+
+
+def vec(m):
+    """Row-major vectorization of a matrix."""
+    return as_cmatrix(m).reshape(-1)
 
 
 def hs_inner(a, b) -> complex:

@@ -26,7 +26,7 @@ from pqclab.errors import (
     NotUnitVector,
     Rho0NotInAlgebra,
 )
-from pqclab.linalg import ToleranceConfig, max_abs_diff, partial_trace, vec
+from pqclab.linalg import ToleranceConfig, max_abs_diff, partial_trace
 from pqclab.rand import haar_unitary, random_block_algebra, random_unit_vector
 from reference import (
     D32_SHAPES,
@@ -35,6 +35,7 @@ from reference import (
     reference_max_entangled,
     reference_projection,
     tensor,
+    vec,
 )
 
 DELTA2 = diagonal_algebra(2)
@@ -57,6 +58,28 @@ class TestSpecValidation:
     def test_rejects_non_positive_blocks(self):
         with pytest.raises(ValueError):
             AlgebraSpec(((0, 2),))
+
+    @pytest.mark.parametrize(
+        "blocks, zero_dim",
+        [
+            (((2.7, 1),), 0),
+            (((2, 1.0),), 0),
+            (((True, 1),), 0),
+            (((2, np.bool_(True)),), 0),
+            (((2, 1),), 0.5),
+            (((2, 1),), 1.0),
+            (((2, 1),), False),
+            ((("2", 1),), 0),
+        ],
+    )
+    def test_rejects_sizes_that_are_not_integers(self, blocks, zero_dim):
+        with pytest.raises(ValueError, match="must be integers"):
+            AlgebraSpec(blocks, zero_dim)
+
+    def test_accepts_numpy_integer_sizes(self):
+        alg = AlgebraSpec(((np.int64(2), np.int32(1)),), np.uint8(1))
+        assert alg.blocks == ((2, 1),) and alg.zero_dim == 1 and alg.dim == 3
+        assert all(type(x) is int for x in (*alg.blocks[0], alg.zero_dim))
 
     def test_rejects_non_unitary_basis_change(self):
         with pytest.raises(ValueError):

@@ -341,3 +341,8 @@ class TestValidation:
             AntipodalPair((np.array([1.0, 0.0]), np.array([np.nan, 1.0])))
         with pytest.raises(ValueError):
             GreatCircle(np.array([0.0, 0.0, np.nan]))
+        for bad in (np.nan, np.inf, complex(0, np.nan)):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                PauliTransfer(np.full((3, 3), bad), np.zeros(3))
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                PauliTransfer(np.eye(3), np.array([0.0, bad, 0.0]))

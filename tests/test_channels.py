@@ -30,7 +30,7 @@ from pqclab.errors import (
     NotUnitary,
 )
 from pqclab.io import channel_to_spec
-from pqclab.linalg import is_psd, max_abs_diff, vec
+from pqclab.linalg import is_psd, max_abs_diff
 from pqclab.rand import haar_unitary, random_density, random_ru_channel
 from reference import (
     isometry_channel,
@@ -41,6 +41,7 @@ from reference import (
     reference_convex_mix,
     reference_depolarizing,
     reference_kraus_from_choi,
+    vec,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)

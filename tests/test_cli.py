@@ -667,6 +667,21 @@ class TestMalformedInput:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"blocks": [[-3, -11]]}, "block sizes must be positive"),
+            ({"blocks": [[40, 1], [0, 1]]}, "block sizes must be positive"),
+            ({"blocks": [[40, 1]], "zero_dim": -1}, "zero_dim must be nonnegative"),
+        ],
+    )
+    def test_invalid_sizes_are_named_before_the_dimension_cap(self, capsys, write_doc, doc, message):
+        code, out, err = run_cli(capsys, "condexp", write_doc("alg.json", doc), "--verify")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err
+        assert "at most" not in err
+
     def test_out_dash_is_refused_before_any_input_is_read(self, capsys, monkeypatch, tmp_path):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, "classify", "absent.json", "--samples", "3", "--out", "-")

@@ -50,7 +50,7 @@ from pqclab.errors import (
     NotUnitVector,
     Rho0NotInAlgebra,
 )
-from pqclab.linalg import DEFAULT_TOL, max_abs_diff, partial_trace
+from pqclab.linalg import DEFAULT_TOL, ToleranceConfig, max_abs_diff, partial_trace
 from pqclab.rand import (
     haar_unitary,
     random_block_algebra,
@@ -182,6 +182,24 @@ class TestAxioms:
         assert report.positive
         assert report.trace_preserving <= 1e-9
 
+    def test_positivity_is_not_measured(self, monkeypatch):
+        alg = _haar_algebra(((2, 2), (1, 1)), 0, np.random.default_rng(6))
+        ch = condexp_channel(alg)
+
+        def no_factorization(*_):
+            raise AssertionError("positivity should come from the Kraus form")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_factorization)
+        assert verify_condexp_axioms(ch, alg).passed
+
+    def test_positive_below_rounding(self):
+        # this Choi matrix's smallest eigvalsh rounds to about -9e-17, below -atol
+        alg = _haar_algebra(((2, 1), (1, 1)), 0, np.random.default_rng(1))
+        report = verify_condexp_axioms(condexp_channel(alg), alg, ToleranceConfig(1e-17))
+        assert report.positive is True
+        assert not report.passed  # the residuals are at the 1e-15 level
+
     def test_identity_channel_is_not_the_diagonal_expectation(self):
         report = verify_condexp_axioms(from_kraus([np.eye(2)]), DELTA2)
         assert not report.passed
@@ -227,8 +245,7 @@ class TestAxioms:
         ch = condexp_channel(alg)
         record = _AxiomCheckRecord(monkeypatch)
         assert verify_condexp_axioms(ch, alg).passed
-        # from K = d^2 on, positivity is decided on the Kraus product itself
-        assert (record.psd_arg is record.product) is (len(ch.kraus) >= 32 * 32)
+        assert record.calls == {"_kraus_product": 1, "choi": 0, "superoperator": 0}
         mixed = convex_mix([1 - 1e-3, 1e-3], [ch, from_kraus([haar_unitary(32, rng)])])
         report = verify_condexp_axioms(mixed, alg)
         assert report.positive and report.bimodule > 1e-6 and not report.passed
@@ -283,8 +300,7 @@ def _haar_algebra(blocks, zero_dim, rng):
 
 class _AxiomCheckRecord:
     """Counts the Kraus products, Choi matrices and superoperators that
-    axiom checks form, and keeps the last product and the last matrix
-    is_psd decided on."""
+    axiom checks form."""
 
     NAMES = ("_kraus_product", "choi", "superoperator")
 
@@ -294,25 +310,14 @@ class _AxiomCheckRecord:
             wrapped = self._counted(name, getattr(channels, name))
             monkeypatch.setattr(channels, name, wrapped)
             monkeypatch.setattr(condexp, name, wrapped, raising=False)
-        is_psd = condexp.is_psd
-
-        def psd(m, tol):
-            self.psd_arg = m
-            return is_psd(m, tol)
-
-        monkeypatch.setattr(condexp, "is_psd", psd)
 
     def reset(self):
         self.calls = dict.fromkeys(self.NAMES, 0)
-        self.product = self.psd_arg = None
 
     def _counted(self, name, fn):
         def wrapper(*args):
             self.calls[name] += 1
-            out = fn(*args)
-            if name == "_kraus_product":
-                self.product = out
-            return out
+            return fn(*args)
 
         return wrapper
 
@@ -477,15 +482,10 @@ class TestLoopReferences:
     def test_one_kraus_product_and_no_choi_or_superoperator_per_check(self, monkeypatch):
         alg = _haar_algebra(((2, 2), (1, 1)), 0, np.random.default_rng(5))
         record = _AxiomCheckRecord(monkeypatch)
-        # K = 5 < d^2 decides positivity on the Gram matrix, K = 50 on the product
-        for ch, on_product in (
-            (condexp_channel(alg), False),
-            (convex_mix([0.5, 0.5], [depolarizing(0.5, 5)] * 2), True),
-        ):
+        for ch in (condexp_channel(alg), convex_mix([0.5, 0.5], [depolarizing(0.5, 5)] * 2)):
             record.reset()
             assert verify_condexp_axioms(ch, alg).positive
             assert record.calls == {"_kraus_product": 1, "choi": 0, "superoperator": 0}
-            assert (record.psd_arg is record.product) is on_product
 
     @staticmethod
     def _pqc_cases(d, rng):
