@@ -6,8 +6,9 @@ are the exact stdout bytes of each command line in tests/golden_cases.py,
 so regenerate them only when an intentional output change is made.
 
 With --check nothing is written: every input file and golden whose
-checked-in bytes differ from what would be written is listed, and the
-exit code is 1 if there is any.
+checked-in bytes differ from what would be written is listed, each with a
+line saying whether only numbers moved, and by how much at most, or the
+structure changed, and the exit code is 1 if there is any.
 """
 
 import argparse
@@ -50,12 +51,46 @@ def run() -> None:
         print(f"wrote {path}")
 
 
+def largest_delta(old, new):
+    """The largest |old - new| over the numbers of two parsed JSON values,
+    or None when they differ in anything but numbers: a key, a length, a
+    type, a string or a boolean."""
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        return abs(old - new)
+    if type(old) is not type(new):
+        return None
+    if isinstance(old, dict):
+        if list(old) != list(new):
+            return None
+        old, new = list(old.values()), list(new.values())
+    if not isinstance(old, list):
+        return 0.0 if old == new else None
+    if len(old) != len(new):
+        return None
+    deltas = [largest_delta(a, b) for a, b in zip(old, new)]
+    return None if None in deltas else max(deltas, default=0.0)
+
+
+def describe_drift(path: Path, text: str) -> str:
+    """How the checked-in file at path differs from text."""
+    if not path.is_file():
+        return "missing"
+    try:
+        delta = largest_delta(json.loads(path.read_text(encoding="utf-8")), json.loads(text))
+    except json.JSONDecodeError:
+        delta = None
+    if delta is None:
+        return "structure changed"
+    return f"numbers only, largest |delta| {delta:.3g}"
+
+
 def check() -> int:
     drifted = []
     for path, text in expected_files():
         if not path.is_file() or path.read_text(encoding="utf-8") != text:
             drifted.append(path)
             print(f"drift {path}")
+            print(f"  {describe_drift(path, text)}")
     print(f"{len(drifted)} file(s) would change")
     return 1 if drifted else 0
 

@@ -40,6 +40,7 @@ from .linalg import (
     DEFAULT_TOL,
     CMatrix,
     ToleranceConfig,
+    _size,
     as_cmatrix,
     freeze,
     max_abs_diff,
@@ -60,13 +61,6 @@ __all__ = [
     "trace_vector_onb",
     "trace_vector_wrt",
 ]
-
-
-def _size(x) -> int:
-    """x as an int, if it is a Python or numpy integer and not a bool."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return int(x)
-    raise ValueError(f"block sizes and zero_dim must be integers, got {x!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +85,9 @@ class AlgebraSpec:
     tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = tuple((_size(m), _size(n)) for m, n in self.blocks)
-        zero_dim = _size(self.zero_dim)
+        what = "block sizes and zero_dim"
+        blocks = tuple((_size(m, what), _size(n, what)) for m, n in self.blocks)
+        zero_dim = _size(self.zero_dim, what)
         if not blocks:
             raise ValueError("need at least one block")
         if any(m < 1 or n < 1 for m, n in blocks):
@@ -143,7 +138,7 @@ class AlgebraSpec:
 
 def diagonal_algebra(d: int, basis_change=None) -> AlgebraSpec:
     """The algebra of diagonal d x d matrices."""
-    return AlgebraSpec(tuple((1, 1) for _ in range(d)), 0, basis_change)
+    return AlgebraSpec(((1, 1),) * _size(d, "dimensions"), 0, basis_change)
 
 
 def scalar_algebra(d: int, basis_change=None) -> AlgebraSpec:

@@ -7,10 +7,10 @@ which pure states the channel sends to the maximally mixed state, and
 ``classify`` names that set.
 
 ``transfer`` reads (T, t) from the channel: the images of the basis
-(1, sigma_x, sigma_y, sigma_z) come from one call of ``channels._sandwich``,
-the two-GEMM kernel behind ``Channel.apply_matrix``, on the stack of the
-four and on the channel's cached GEMM operands, without apply_matrix's
-input checks. One contraction with the basis gives (T, t). ``is_unital``
+(1, sigma_x, sigma_y, sigma_z) come from one call of ``channels._apply``,
+the kernel behind ``Channel.apply_matrix``, on the stack of the four and on
+the channel's cached superoperator, without apply_matrix's input checks.
+One contraction with the basis gives (T, t). ``is_unital``
 reads E(1/d) from one product of the Kraus stack. So ``classify`` never
 calls ``Channel.apply_matrix``. Unit Bloch vectors become kets in one
 vectorized map, of which ``bloch_to_ket`` is the one-row case.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, DensityOperator, _sandwich, is_unital
+from .channels import Channel, DensityOperator, _apply, is_unital
 from .errors import BlochVectorTooLong, DimensionMismatch, NotUnital
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_cmatrix, freeze, is_hermitian, nullspace_basis
 
@@ -204,13 +204,14 @@ def transfer(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> PauliTransfer:
 
     Both come from one 4x4 matrix T4_jk = trace(s_j ch(s_k))/2 over
     s = (1, sigma_x, sigma_y, sigma_z): the images ch(s_k) are the
-    apply_matrix kernel on the stack of the four s_k, the same bits as one
-    apply_matrix call per s_k, and T4 is one contraction of them with the
-    s_j, so T = T4[1:, 1:] and t = T4[1:, 0].
+    apply_matrix kernel (one product with the cached superoperator per s_k)
+    on the stack of the four, the same bits as one apply_matrix call per s_k,
+    and T4 is one contraction of them with the s_j, so T = T4[1:, 1:] and
+    t = T4[1:, 0].
     """
     if ch.dim_in != 2 or ch.dim_out != 2:
         raise DimensionMismatch("transfer is defined for qubit channels only")
-    images = _sandwich(ch, _PAULI_STACK)
+    images = _apply(ch, _PAULI_STACK)
     t4 = np.einsum("jab,kba->jk", _PAULI_STACK, images) / 2
     return PauliTransfer(t4[1:, 1:], t4[1:, 0], tol)
 

@@ -4,6 +4,7 @@ application, and representation conversions (Choi matrix, superoperator).
 A channel is stored as one read-only (K, d_out, d_in) stack of its Kraus
 operators with sum_a K_a^dag K_a = 1. Kraus stacks are not unique, so
 channel equality always means Choi-matrix equality, never stack equality.
+It is applied through its superoperator, formed on first use and kept.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     CMatrix,
     ToleranceConfig,
+    _size,
     as_cmatrix,
     freeze,
     is_psd,
@@ -44,6 +46,9 @@ __all__ = [
     "is_unital",
     "channels_equal",
 ]
+
+# bytes one slab of a superoperator, or one is_pqc chunk, holds beside its result
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,33 +105,42 @@ class Channel:
         return self.kraus.shape[1]
 
     @cached_property
-    def _gemm_operands(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two read-only operands of :func:`_sandwich`, formed on the
-        first application, so a channel that is only built, written out or
-        checked holds neither.
+    def _superoperator(self) -> np.ndarray:
+        """The read-only superoperator S[(i, j), (k, l)] =
+        sum_a K_a[i, k] conj(K_a[j, l]), formed on the first application, so
+        a channel that is only built, written out or checked holds none.
 
-        ``lhs`` is the stack as a C-order (d_out, K, d_in) array seen as
-        (d_out·K, d_in): row (i, a) is row i of K_a. ``adj_t`` is its
-        conjugate seen as (d_out, K·d_in) and transposed, so
-        adj_t[(a, j), l] = conj(K_a[l, j]). Each is one stack-sized array.
+        S is written in slabs of output index j, each one product of the
+        stack with its slab's conjugate, as many j as fit in ``_CHUNK_BYTES``
+        and at least one: no other d^4-sized array is held, and a small
+        channel is one slab.
         """
         k, d_out, d_in = self.kraus.shape
-        lhs = np.ascontiguousarray(self.kraus.transpose(1, 0, 2)).reshape(d_out * k, d_in)
-        adj_t = lhs.conj().reshape(d_out, k * d_in).T
-        lhs.setflags(write=False)
-        adj_t.setflags(write=False)
-        return lhs, adj_t
+        s = np.empty((d_out, d_out, d_in, d_in), dtype=np.complex128)
+        flat = self.kraus.reshape(k, d_out * d_in)
+        per_slab = max(1, _CHUNK_BYTES // (s.itemsize * d_in * (d_out * d_in + k)))
+        for lo in range(0, d_out, per_slab):
+            # one statement, so no slab outlives its write: [(i, k), (j, l)] -> [i, j, k, l]
+            s[:, lo : lo + per_slab] = (
+                (flat.T @ self.kraus[:, lo : lo + per_slab].conj().reshape(k, -1))
+                .reshape(d_out, d_in, -1, d_in)
+                .transpose(0, 2, 1, 3)
+            )
+        s = s.reshape(d_out * d_out, d_in * d_in)
+        s.setflags(write=False)
+        return s
 
     def apply_matrix(self, x) -> np.ndarray:
         """Linear action sum_a K_a x K_a^dag on an arbitrary square matrix,
         or on each matrix of an (N, dim_in, dim_in) stack, giving an
         (N, dim_out, dim_out) stack.
 
-        The action is two GEMMs on the Kraus stack (:func:`_sandwich`), and a
-        stack gives the same bits as one call per matrix. Besides its output,
-        a call holds one array of N·K·dim_out·dim_in complex entries (N = 1
-        for one matrix), the rows of every K_a x. The first call also forms
-        the channel's two stack-sized GEMM operands, which later calls reuse.
+        The action is one product per matrix with the channel's cached
+        superoperator (:func:`_apply`), and a stack gives the same bits as
+        one call per matrix. Besides its output a call allocates only the
+        finiteness mask of x; the first call also forms the superoperator,
+        dim_out^2 x dim_in^2 entries whatever the number of Kraus operators,
+        which later calls reuse.
         """
         x = np.asarray(x, dtype=np.complex128)
         d = self.dim_in
@@ -136,25 +150,17 @@ class Channel:
             )
         if not np.all(np.isfinite(x)):
             raise ValueError("matrix contains NaN or Inf entries")
-        return _sandwich(self, x)
+        return _apply(self, x)
 
 
-def _sandwich(ch: Channel, x: np.ndarray) -> np.ndarray:
-    """sum_a K_a x K_a^dag for one (d_in, d_in) matrix x or for each matrix
-    of an (N, d_in, d_in) stack, in two GEMMs on the channel's cached
-    operands.
-
-    The first is Y = lhs x, whose row (i, a) is (K_a x)[i, :]. Rows ordered
-    that way make Y, read as (d_out, K·d_in), hold (K_a x)[i, :] for every
-    a side by side in row i, with no copy, and the second GEMM contracts it
-    with adj_t, the stacked adjoints. A stack runs the same two 2-D products
-    once per matrix, which keeps it bit-identical to one call per matrix.
-    No input is checked here.
-    """
-    k, d_out, d_in = ch.kraus.shape
-    lhs, adj_t = ch._gemm_operands
+def _apply(ch: Channel, x: np.ndarray) -> np.ndarray:
+    """sum_a K_a x K_a^dag for a matrix x, or each of a stack, as the row
+    vec(x)^T times S^T, S the cached superoperator; a stack runs that product
+    once per matrix, bit-identical to one call each. Nothing is checked."""
+    lead = x.shape[:-2]
     # explicit sizes: a -1 cannot be resolved for an empty (0, d_in, d_in) stack
-    return (lhs @ x).reshape(*x.shape[:-2], d_out, k * d_in) @ adj_t
+    out = x.reshape(*lead, 1, ch.dim_in**2) @ ch._superoperator.T
+    return out.reshape(*lead, ch.dim_out, ch.dim_out)
 
 
 def from_kraus(kraus, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -206,6 +212,7 @@ def depolarizing(p: float, d: int) -> Channel:
     """
     if not (0 < p <= 1):
         raise ValueError(f"p must lie in (0, 1], got {p}")
+    d = _size(d, "dimensions")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     omega = np.exp(2j * np.pi / d)

@@ -11,9 +11,8 @@ as independently checkable routes.
 
 A PQCInstance holds its states as one read-only (N, d) stack, and is_pqc
 applies the channel to them through one Channel.apply_matrix call per
-chunk of outer products. A chunk is sized by the largest array a state
-needs in that call: its outer product, its output, or the K·d_out·d_in
-Kraus intermediate of the apply_matrix kernel, whichever is wider.
+chunk of outer products, sized by the wider of a state's d_in x d_in outer
+product and its d_out x d_out output.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .algebras import (
     _state_in_algebra,
     is_trace_vector,
 )
-from .channels import Channel, DensityOperator, _kraus_product, from_kraus
+from .channels import _CHUNK_BYTES, Channel, DensityOperator, _kraus_product, from_kraus
 from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector
 from .linalg import DEFAULT_TOL, ToleranceConfig
 
@@ -42,10 +41,6 @@ __all__ = [
     "private_states_certificate",
     "collective_noise_channel_n2",
 ]
-
-# bytes of the widest per-state array (outer product, output or Kraus
-# intermediate) that one is_pqc chunk holds at once
-_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,20 +244,15 @@ def is_pqc(inst: PQCInstance, tol: ToleranceConfig = DEFAULT_TOL) -> PqcReport:
     """True iff the channel sends every listed pure state to the target.
 
     The states' outer products are formed a chunk at a time, and each chunk
-    goes through one Channel.apply_matrix call on its (n, d_in, d_in) stack.
-    Besides its input and output, that call holds one (n, K·d_out, d_in)
-    intermediate, so a chunk holds as many states as fit in a fixed byte
-    budget by the widest of the d_in x d_in input, the d_out x d_out output
-    and the K·d_out x d_in intermediate, and at least one state. The
-    channel's two stack-sized GEMM operands are formed on its first
-    application and kept with it, outside the budget. The residuals, in
-    the order of the states, are the same numbers one apply_matrix call per
-    state gives.
+    goes through one Channel.apply_matrix call, which holds nothing per state
+    but its d_in x d_in input and d_out x d_out output. So a chunk holds as
+    many states as fit in the byte budget ``_CHUNK_BYTES`` by the wider of
+    the two, and at least one. The channel's superoperator is formed on its
+    first application and kept with it, outside the budget. The residuals,
+    in the order of the states, are those of one apply_matrix call per state.
     """
     states, target = inst.states, inst.rho0.mat
-    k, d_out, d_in = inst.channel.kraus.shape
-    widest = max(d_in * d_in, d_out * d_out, k * d_out * d_in)
-    step = max(1, _CHUNK_BYTES // (states.itemsize * widest))
+    step = max(1, _CHUNK_BYTES // (states.itemsize * max(inst.channel.kraus.shape[1:]) ** 2))
     residuals = []
     for lo in range(0, len(states), step):
         chunk = states[lo : lo + step]

@@ -54,12 +54,12 @@ NAMED_CHANNELS = tuple(_NAMED_REGISTRY)
 # channel or a ((d,1),) algebra's conditional expectation has d^2 Kraus
 # operators of size d x d, and the axiom check builds d^2 x d^2
 # superoperators: d^4 complex entries each, 16 MB at d = 32. A channel that
-# has been applied (apply_matrix, is_pqc, transfer) also holds two
-# stack-sized GEMM operands next to its Kraus stack: 32 MB more at d = 32,
-# K = 1024. The CLI peaks far higher on such a document: `condexp` on a
-# Haar ((32,1),) algebra writes about 100 MB of JSON and peaks near 610 MB
-# RSS (430 MB with --format text), mostly while it renders the report;
-# ROADMAP.md's item on streaming the report targets that.
+# has been applied (apply_matrix, is_pqc, transfer) also keeps its own
+# superoperator next to its Kraus stack: 16 MB more at d = 32, whatever the
+# number of Kraus operators. The CLI peaks far higher on such a document:
+# `condexp` on a Haar ((32,1),) algebra writes about 100 MB of JSON and
+# peaks near 610 MB RSS (430 MB with --format text), mostly while it
+# renders the report; ROADMAP.md's item on streaming the report targets that.
 MAX_CHANNEL_DIM = 32
 
 

@@ -40,11 +40,18 @@ class ToleranceConfig:
     atol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.atol > 0 and np.isfinite(self.atol)):
-            raise ValueError(f"atol must be positive and finite, got {self.atol}")
+        if isinstance(self.atol, (bool, np.bool_)) or not 0 < self.atol < np.inf:
+            raise ValueError(f"atol must be a positive and finite number, got {self.atol!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def _size(x, what: str) -> int:
+    """x as an int, if it is a Python or numpy integer and not a bool."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError(f"{what} must be integers, got {x!r}")
 
 
 def as_cmatrix(a) -> CMatrix:

@@ -18,7 +18,8 @@ vectorized map are required to agree bit for bit. reference_is_pqc is the
 privacy check with one apply_matrix call per state, against which the
 chunked check is required to give the same residuals bit for bit.
 reference_apply_matrix is the channel action one Kraus operator at a time,
-against which the two-GEMM kernel is required to agree within rounding.
+against which the cached-superoperator kernel is required to agree within
+rounding.
 reference_sample_row is the CLI's sample row one ket at a time, through
 density_to_bloch, against which the batched rows are required to agree
 byte for byte.

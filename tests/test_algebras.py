@@ -76,6 +76,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="must be integers"):
             AlgebraSpec(blocks, zero_dim)
 
+    @pytest.mark.parametrize("d", [2.0, True, np.bool_(False), "2"])
+    def test_diagonal_algebra_rejects_dimensions_that_are_not_integers(self, d):
+        with pytest.raises(ValueError, match="must be integers"):
+            diagonal_algebra(d)
+
     def test_accepts_numpy_integer_sizes(self):
         alg = AlgebraSpec(((np.int64(2), np.int32(1)),), np.uint8(1))
         assert alg.blocks == ((2, 1),) and alg.zero_dim == 1 and alg.dim == 3

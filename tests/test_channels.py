@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqclab import channels
 from pqclab.algebras import AlgebraSpec
 from pqclab.channels import (
     Channel,
@@ -91,6 +92,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             depolarizing(1.2, 2)
 
+    @pytest.mark.parametrize("d", [2.0, 2.5, True, np.bool_(True), "2"])
+    def test_depolarizing_rejects_dimensions_that_are_not_integers(self, d):
+        with pytest.raises(ValueError, match="must be integers"):
+            depolarizing(0.5, d)
+
     def test_density_operator_validation(self):
         with pytest.raises(ValueError):
             DensityOperator(SZ)
@@ -132,11 +138,13 @@ class TestAction:
         [
             (1, 1, 1), (2, 2, 4), (3, 5, 2), (5, 3, 7), (6, 6, 36), (4, 4, 1),
             (1, 4, 1), (4, 1, 5), (2, 5, 40), (5, 2, 17), (3, 7, 40), (7, 3, 3), (6, 4, 29),
+            (2, 2, 9), (3, 3, 20), (2, 6, 1), (5, 8, 1),
         ],
     )
     def test_matches_the_per_operator_loop(self, d_in, d_out, count):
         rng = np.random.default_rng(100 * d_in + 10 * d_out + count)
         ch = isometry_channel(d_in, d_out, count, rng)
+        # not Hermitian, so S and its reshuffles cannot swap an index pair unseen
         xs = rng.standard_normal((3, d_in, d_in)) + 1j * rng.standard_normal((3, d_in, d_in))
         got = ch.apply_matrix(xs)
         # the sums run in another order, so they agree to rounding only
@@ -173,7 +181,12 @@ class TestAction:
         assert ch.apply_matrix(xs[:1]).shape == (1, d_out, d_out)
         assert ch.apply_matrix(xs[:0]).shape == (0, d_out, d_out)
 
-    def test_gemm_operands_are_formed_once_on_first_use_and_read_only(self):
+    # one output index j of a slab takes 16 * d_in * (d_out * d_in + K) = 912 bytes
+    # here, so the budgets give slabs of one j, of two and a last of
+    # one, and a single slab
+    @pytest.mark.parametrize("budget", [912, 2 * 912 + 15, channels._CHUNK_BYTES])
+    def test_superoperator_is_formed_on_first_use_and_read_only(self, monkeypatch, budget):
+        monkeypatch.setattr(channels, "_CHUNK_BYTES", budget)
         k, d_out, d_in = 4, 5, 3
         ch = isometry_channel(d_in, d_out, k, np.random.default_rng(4))
         # building, serializing and axiom-checking never apply the channel
@@ -182,36 +195,57 @@ class TestAction:
         channel_to_spec(built)
         verify_condexp_axioms(built, alg)
         for unused in (ch, built):
-            assert "_gemm_operands" not in vars(unused)
+            assert "_superoperator" not in vars(unused)
         ch.apply_matrix(np.eye(d_in))
-        lhs, adj_t = ch._gemm_operands
-        assert ch._gemm_operands[0] is lhs and ch._gemm_operands[1] is adj_t
-        assert not lhs.flags.writeable and not adj_t.flags.writeable
+        s = ch._superoperator
+        assert ch._superoperator is s
+        assert not s.flags.writeable
         with pytest.raises(ValueError):
-            lhs[0, 0] = 0
-        with pytest.raises(ValueError):
-            adj_t[0, 0] = 0
-        # row (i, a) of lhs is row i of K_a; adj_t[(a, j), l] = conj(K_a[l, j])
-        assert np.array_equal(lhs.reshape(d_out, k, d_in), ch.kraus.transpose(1, 0, 2))
-        assert np.array_equal(adj_t.reshape(k, d_in, d_out), ch.kraus.conj().transpose(0, 2, 1))
+            s[0, 0] = 0
+        # S[(i, j), (k, l)] = sum_a K_a[i, k] conj(K_a[j, l]), slab by slab
+        assert s.shape == (d_out**2, d_in**2)
+        assert max_abs_diff(s, superoperator(ch)) <= 1e-15
 
     @pytest.mark.parametrize("lead", [(), (1,)])
-    def test_a_warm_call_copies_no_kraus_sized_array(self, lead):
+    def test_a_warm_call_allocates_only_its_output(self, lead):
         k, d = 125, 20
         rng = np.random.default_rng(125)
         ch = random_unitary(np.full(k, 1 / k), [haar_unitary(d, rng) for _ in range(k)])
         x = rng.standard_normal((*lead, d, d)) + 1j * rng.standard_normal((*lead, d, d))
-        out = ch.apply_matrix(x)  # forms the cached operands
+        out = ch.apply_matrix(x)  # forms the cached superoperator
         tracemalloc.start()
         try:
             ch.apply_matrix(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the rows of every K_a x, the output and slack; a copy of the stack
-        # or of the rows would add another k * d * d entries
-        intermediate = k * d * d * x.itemsize
-        assert peak < intermediate + out.nbytes + intermediate // 8
+        # the output, and slack for array headers and shape tuples; the
+        # finiteness mask of x is freed before the output is allocated, and
+        # a copy of x would add 6400 bytes, of the stack 800 kB
+        assert peak < out.nbytes + 2048
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: random_unitary(
+                np.full(125, 1 / 125), [haar_unitary(20, rng) for _ in range(125)]
+            ),
+            lambda rng: condexp_channel(AlgebraSpec(((8, 2), (16, 1)), 0, haar_unitary(32, rng))),
+        ],
+        ids=["d20-k125", "d32-k320"],
+    )
+    def test_a_first_call_holds_the_superoperator_and_one_budget(self, make):
+        rng = np.random.default_rng(126)
+        ch = make(rng)
+        x = np.eye(ch.dim_in) / ch.dim_in
+        tracemalloc.start()
+        try:
+            out = ch.apply_matrix(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no d^4-sized array but the superoperator: its slabs stay within the budget
+        assert peak <= ch._superoperator.nbytes + channels._CHUNK_BYTES + out.nbytes
 
     @pytest.mark.parametrize(
         "x, error",

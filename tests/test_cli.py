@@ -546,6 +546,15 @@ class TestPlumbing:
 REGEN_GOLDENS = Path(__file__).resolve().parent.parent / "scripts" / "regen_goldens.py"
 
 
+@pytest.fixture
+def regen():
+    """scripts/regen_goldens.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("regen_goldens", REGEN_GOLDENS)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    return regen
+
+
 class TestRegenGoldensCheck:
     def test_checked_in_goldens_do_not_drift(self, tmp_path):
         # as the README runs it, from a checkout where pqclab is not installed
@@ -579,6 +588,45 @@ class TestRegenGoldensCheck:
         expected = drifted + [tmp_path / "condexp_scalar2_choi.json"]
         assert sorted(listed) == sorted(f"drift {p}" for p in expected)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_says_whether_only_numbers_moved(self, regen, tmp_path, monkeypatch, capsys):
+        for path in regen.golden_cases.GOLDEN_DIR.iterdir():
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        moved, reshaped = tmp_path / "check_pqc_equator.json", tmp_path / "demo_frame.json"
+        doc = json.loads(moved.read_text(encoding="utf-8"))
+        doc["result"]["residuals"][2] += 3e-17
+        doc["result"]["residuals"][5] -= 1e-17
+        moved.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        doc = json.loads(reshaped.read_text(encoding="utf-8"))
+        doc["result"]["extra"] = 1
+        reshaped.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        (tmp_path / "classify_identity.json").unlink()
+        monkeypatch.setattr(regen.golden_cases, "GOLDEN_DIR", tmp_path)
+
+        assert regen.check() == 1
+        lines = capsys.readouterr().out.splitlines()
+        said = {lines[i]: lines[i + 1] for i, line in enumerate(lines) if line.startswith("drift")}
+        assert said == {
+            f"drift {moved}": "  numbers only, largest |delta| 3e-17",
+            f"drift {reshaped}": "  structure changed",
+            f"drift {tmp_path / 'classify_identity.json'}": "  missing",
+        }
+
+    @pytest.mark.parametrize(
+        "old, new, delta",
+        [
+            ({"a": [1, 2.5]}, {"a": [1, 2.0]}, 0.5),
+            ([0.0, [1e-17]], [0.0, [-1e-17]], 2e-17),
+            ({"a": 1, "b": 2}, {"b": 2, "a": 1}, None),
+            ([1, 2], [1, 2, 3], None),
+            ({"v": True}, {"v": False}, None),
+            ({"v": True}, {"v": 1}, None),
+            ({"s": "x"}, {"s": "y"}, None),
+            ({"n": None}, {"n": None}, 0.0),
+        ],
+    )
+    def test_largest_delta_reads_numbers_and_nothing_else(self, regen, old, new, delta):
+        assert regen.largest_delta(old, new) == delta
 
 
 NAN, INF = float("nan"), float("inf")

@@ -516,7 +516,7 @@ class TestLoopReferences:
 
     def test_is_pqc_equals_the_per_state_loop_across_chunks(self, monkeypatch, apply_calls):
         rng = np.random.default_rng(53)
-        d, budget = 5, 3 * 16 * 3 * 5 * 5 + 7
+        d, budget = 5, 2 * 16 * 7 * 7 + 7
         monkeypatch.setattr(condexp, "_CHUNK_BYTES", budget)
         chunkings = []
         for ch, target in self._pqc_cases(d, rng):
@@ -525,32 +525,34 @@ class TestLoopReferences:
             want = reference_is_pqc(inst)
             apply_calls.clear()
             assert is_pqc(inst).residuals == want.residuals
-            # a chunk holds as many states as fit in the budget by the widest
-            # of the d_in x d_in input, the d_out x d_out output and the
-            # K d_out x d_in Kraus intermediate, and at least one
-            k, d_out, d_in = ch.kraus.shape
-            step = max(1, budget // (16 * max(d_in**2, d_out**2, k * d_out * d_in)))
+            # a chunk holds as many states as fit in the budget by the wider
+            # of the d_in x d_in input and the d_out x d_out output, and at
+            # least one; the number of Kraus operators plays no part
+            d_out, d_in = ch.dim_out, ch.dim_in
+            step = max(1, budget // (16 * max(d_in, d_out) ** 2))
             assert apply_calls == [(min(step, 10 - lo), d, d) for lo in range(0, 10, step)]
             chunkings.append([n for n, _, _ in apply_calls])
-        # K = 3 on 5 x 5 fits three to a chunk with one left over, K = 2 on
-        # 5 x 5 four, and the K = 25 depolarizing stack one at a time
-        assert [3, 3, 3, 1] in chunkings and [4, 4, 2] in chunkings and [1] * 10 in chunkings
+        # a 5 x 5 or smaller output fits three to a chunk with one left over,
+        # whatever K is, and the 7 x 7 output of the widening isometry two
+        assert [3, 3, 3, 1] in chunkings and [2] * 5 in chunkings
 
-    def test_a_large_kraus_stack_sets_the_step(self, apply_calls):
-        # K = 64 on d = 8: 64 KiB of intermediate per state, 16 states to the
-        # 1 MiB budget, where the 8 x 8 outer products alone would fit 1024
+    def test_a_large_kraus_stack_does_not_shrink_the_step(self, apply_calls):
+        # K = 64 on d = 8: each state holds only its 8 x 8 outer product and
+        # output, 1 KiB each, so all 40 fit in one 1 MiB chunk
         rng = np.random.default_rng(54)
         ch = depolarizing(1.0, 8)
         states = np.array([random_unit_vector(8, rng) for _ in range(40)])
         inst = PQCInstance(states, ch, DensityOperator(np.eye(8) / 8))
         report = is_pqc(inst)
-        assert apply_calls == [(16, 8, 8), (16, 8, 8), (8, 8, 8)]
+        assert apply_calls == [(40, 8, 8)]
         assert report.residuals == reference_is_pqc(inst).residuals
         assert report.verdict
 
-    def test_peak_memory_on_a_large_kraus_stack_is_one_state_at_a_time(self):
-        # ((16, 1),) has K = 256: one state's intermediate is 1 MiB, so the
-        # whole 16-vector basis at once would hold 32 MiB
+    def test_peak_memory_is_the_superoperator_and_one_budget(self):
+        # ((16, 1),) has K = 256: the superoperator is 1 MiB whatever K is,
+        # its slabs and the chunk of 16 outer products and outputs stay
+        # within the 1 MiB budget, where the old K d x d intermediate of the
+        # whole 16-vector basis alone would have held 16 MiB
         alg = AlgebraSpec(((16, 1),))
         rho0 = DensityOperator(np.eye(16) / 16)
         inst = PQCInstance(trace_vector_onb(alg), condexp_channel(alg), rho0)
@@ -561,7 +563,7 @@ class TestLoopReferences:
         finally:
             tracemalloc.stop()
         assert report.verdict
-        assert peak < 4 * 2**20
+        assert peak < 2**20 + 2 * condexp._CHUNK_BYTES
 
 
 @pytest.fixture

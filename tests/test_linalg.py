@@ -226,6 +226,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ToleranceConfig(atol=-1e-9)
 
+    @pytest.mark.parametrize("atol", [True, np.bool_(True)])
+    def test_tolerance_must_not_be_a_bool(self, atol):
+        with pytest.raises(ValueError, match="must be a positive and finite number"):
+            ToleranceConfig(atol=atol)
+
     def test_as_cmatrix_rejects_non_finite(self):
         with pytest.raises(ValueError):
             as_cmatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
