@@ -40,6 +40,7 @@ from .linalg import (
     DEFAULT_TOL,
     CMatrix,
     ToleranceConfig,
+    _row_norms,
     _size,
     as_cmatrix,
     freeze,
@@ -236,7 +237,7 @@ def _as_vector(v, alg: AlgebraSpec, tol: ToleranceConfig | None = None) -> np.nd
     if v.size != alg.dim:
         raise DimensionMismatch(f"vector length {v.size} vs algebra dimension {alg.dim}")
     if tol is not None:
-        nrm = np.linalg.norm(v)
+        nrm = _row_norms(v[None])[0]
         if not (abs(nrm - 1.0) <= tol.atol):
             raise NotUnitVector(f"vector norm {nrm} is not 1 within atol")
     if not np.isfinite(v).all():
@@ -285,6 +286,7 @@ def has_trace_vector(alg: AlgebraSpec) -> bool:
 def max_entangled_trace_vector(m: int, n: int) -> np.ndarray:
     """The vector (1/sqrt(n)) sum_{i<n} e_i (x) f_i on C^m (x) C^n, a trace
     vector of the single-block algebra 1_m (x) M_n when m >= n."""
+    m, n = _size(m, "block sizes"), _size(n, "block sizes")
     if m < n:
         raise ValueError(f"need m >= n, got ({m}, {n})")
     return np.eye(m, n, dtype=np.complex128).reshape(-1) / np.sqrt(n)

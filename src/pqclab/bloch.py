@@ -10,9 +10,9 @@ which pure states the channel sends to the maximally mixed state, and
 (1, sigma_x, sigma_y, sigma_z) come from one call of ``channels._apply``,
 the kernel behind ``Channel.apply_matrix``, on the stack of the four and on
 the channel's cached superoperator, without apply_matrix's input checks.
-One contraction with the basis gives (T, t). ``is_unital``
-reads E(1/d) from one product of the Kraus stack. So ``classify`` never
-calls ``Channel.apply_matrix``. Unit Bloch vectors become kets in one
+One contraction with the basis gives (T, t), and ``classify`` reads both
+the kernel of T and unitality from it, so it never calls
+``Channel.apply_matrix``. Unit Bloch vectors become kets in one
 vectorized map, of which ``bloch_to_ket`` is the one-row case.
 """
 
@@ -22,9 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, DensityOperator, _apply, is_unital
+from .channels import Channel, DensityOperator, _apply
 from .errors import BlochVectorTooLong, DimensionMismatch, NotUnital
-from .linalg import DEFAULT_TOL, ToleranceConfig, as_cmatrix, freeze, is_hermitian, nullspace_basis
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    _size,
+    as_cmatrix,
+    freeze,
+    is_hermitian,
+    nullspace_basis,
+)
 
 __all__ = [
     "SIGMA_X",
@@ -56,7 +64,7 @@ _PAULI_STACK = freeze(np.stack([np.eye(2, dtype=np.complex128), *PAULIS]))
 
 @dataclass(frozen=True, eq=False)
 class BlochVector:
-    """Real 3-vector r; represents a state when ||r|| <= 1."""
+    """Finite real 3-vector r; represents a state when ||r|| <= 1."""
 
     r: np.ndarray
 
@@ -64,6 +72,8 @@ class BlochVector:
         r = np.asarray(self.r, dtype=float)
         if r.shape != (3,):
             raise DimensionMismatch(f"Bloch vector must have 3 components, got {r.shape}")
+        if not np.isfinite(r).all():
+            raise ValueError("Bloch vector contains NaN or Inf entries")
         object.__setattr__(self, "r", freeze(r))
 
     @property
@@ -111,7 +121,8 @@ class Empty(PrivateStateSet):
 
 @dataclass(frozen=True, eq=False)
 class AntipodalPair(PrivateStateSet):
-    """Exactly two private pure states, orthogonal to each other."""
+    """Exactly two private pure states: unit qubit kets, orthogonal to each
+    other, both within atol."""
 
     states: tuple[np.ndarray, np.ndarray]
     tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
@@ -122,6 +133,8 @@ class AntipodalPair(PrivateStateSet):
         a, b = (np.asarray(s, dtype=np.complex128) for s in self.states)
         if a.shape != (2,) or b.shape != (2,):
             raise DimensionMismatch("antipodal states must be qubit kets")
+        if not all(abs(np.linalg.norm(s) - 1.0) <= self.tol.atol for s in (a, b)):
+            raise ValueError("antipodal states must have unit norm within atol")
         if not (abs(np.vdot(a, b)) <= self.tol.atol):
             raise ValueError("antipodal states must be orthogonal within atol")
         object.__setattr__(self, "states", (freeze(a), freeze(b)))
@@ -167,9 +180,7 @@ def density_to_bloch(rho, tol: ToleranceConfig = DEFAULT_TOL) -> BlochVector:
 
 def bloch_to_density(r, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
     """State (1 + r . sigma)/2 of a Bloch vector with ||r|| <= 1."""
-    rv = r.r if isinstance(r, BlochVector) else np.asarray(r, dtype=float)
-    if rv.shape != (3,):
-        raise DimensionMismatch(f"Bloch vector must have 3 components, got {rv.shape}")
+    rv = (r if isinstance(r, BlochVector) else BlochVector(r)).r
     if np.linalg.norm(rv) > 1.0 + tol.atol:
         raise BlochVectorTooLong(f"norm {np.linalg.norm(rv)} exceeds 1")
     m = (np.eye(2) + rv[0] * SIGMA_X + rv[1] * SIGMA_Y + rv[2] * SIGMA_Z) / 2
@@ -192,9 +203,7 @@ def _kets(rs: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 def bloch_to_ket(r, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Pure-state ket for a unit Bloch vector, phase fixed by a real first
     amplitude. Raises ValueError unless ||r|| = 1 within atol."""
-    rv = r.r if isinstance(r, BlochVector) else np.asarray(r, dtype=float)
-    if rv.shape != (3,):
-        raise DimensionMismatch(f"Bloch vector must have 3 components, got {rv.shape}")
+    rv = (r if isinstance(r, BlochVector) else BlochVector(r)).r
     return _kets(rv[None], tol)[0]
 
 
@@ -238,9 +247,11 @@ def classify(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> PrivateStateSet
     state: nothing, an orthogonal pair, a great circle, or everything.
 
     Only unital qubit channels are classified; the kernel of T decides.
+    Unitality is read from t: E(1/2) - 1/2 = (t . sigma)/2, so is_unital's
+    largest entry is max(|t_z|, |t_x + i t_y|)/2.
     """
     pt = transfer(ch, tol)
-    if not is_unital(ch, tol):
+    if max(abs(pt.t[2]), np.hypot(pt.t[0], pt.t[1])) / 2 > tol.atol:
         raise NotUnital("classification requires a unital channel")
     null = nullspace_basis(pt.T, tol)
     if len(null) == 0:
@@ -285,6 +296,7 @@ def sample_private_states(s: PrivateStateSet, count: int) -> list[np.ndarray]:
     both deterministically, and all points become kets in one vectorized
     call.
     """
+    count = _size(count, "sample counts")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if isinstance(s, Empty):

@@ -106,27 +106,9 @@ class Channel:
 
     @cached_property
     def _superoperator(self) -> np.ndarray:
-        """The read-only superoperator S[(i, j), (k, l)] =
-        sum_a K_a[i, k] conj(K_a[j, l]), formed on the first application, so
-        a channel that is only built, written out or checked holds none.
-
-        S is written in slabs of output index j, each one product of the
-        stack with its slab's conjugate, as many j as fit in ``_CHUNK_BYTES``
-        and at least one: no other d^4-sized array is held, and a small
-        channel is one slab.
-        """
-        k, d_out, d_in = self.kraus.shape
-        s = np.empty((d_out, d_out, d_in, d_in), dtype=np.complex128)
-        flat = self.kraus.reshape(k, d_out * d_in)
-        per_slab = max(1, _CHUNK_BYTES // (s.itemsize * d_in * (d_out * d_in + k)))
-        for lo in range(0, d_out, per_slab):
-            # one statement, so no slab outlives its write: [(i, k), (j, l)] -> [i, j, k, l]
-            s[:, lo : lo + per_slab] = (
-                (flat.T @ self.kraus[:, lo : lo + per_slab].conj().reshape(k, -1))
-                .reshape(d_out, d_in, -1, d_in)
-                .transpose(0, 2, 1, 3)
-            )
-        s = s.reshape(d_out * d_out, d_in * d_in)
+        """:func:`superoperator`, read-only and formed on the first application,
+        so a channel that is only built, written out or checked holds none."""
+        s = superoperator(self)
         s.setflags(write=False)
         return s
 
@@ -210,7 +192,7 @@ def depolarizing(p: float, d: int) -> Channel:
     unitaries at weight p/d^2 each (the qubit case reduces to the familiar
     square-root-weighted Pauli conjugations).
     """
-    if not (0 < p <= 1):
+    if isinstance(p, (bool, np.bool_)) or not (0 < p <= 1):
         raise ValueError(f"p must lie in (0, 1], got {p}")
     d = _size(d, "dimensions")
     if d < 1:
@@ -260,6 +242,7 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT
     Eigenvalues below atol are dropped; the result is re-validated through
     from_kraus, so a non-CP or non-TP input fails loudly.
     """
+    dim_in, dim_out = _size(dim_in, "dimensions"), _size(dim_out, "dimensions")
     j = as_cmatrix(j)
     if j.shape != (dim_in * dim_out, dim_in * dim_out):
         raise DimensionMismatch(f"Choi matrix shape {j.shape} vs dims ({dim_in}, {dim_out})")
@@ -272,15 +255,27 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT
 
 def superoperator(ch: Channel) -> CMatrix:
     """Matrix of the channel action on row-major vectorized inputs:
-    vec(ch(X)) = S vec(X)."""
-    # S[(i, j), (k, l)] = T[(i, k), (j, l)]
-    t = _kraus_product(ch.kraus).reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
-    return t.transpose(0, 2, 1, 3).reshape(ch.dim_out**2, ch.dim_in**2)
+    vec(ch(X)) = S vec(X), S[(i, j), (k, l)] = sum_a K_a[i, k] conj(K_a[j, l]).
+    S is written in slabs of output index j, each one product of the stack
+    with its slab's conjugate, as many j as fit in ``_CHUNK_BYTES`` and at
+    least one: no other d^4-sized array is held, and a small channel is one slab."""
+    k, d_out, d_in = ch.kraus.shape
+    s = np.empty((d_out, d_out, d_in, d_in), dtype=np.complex128)
+    flat = ch.kraus.reshape(k, d_out * d_in)
+    per_slab = max(1, _CHUNK_BYTES // (s.itemsize * d_in * (d_out * d_in + k)))
+    for lo in range(0, d_out, per_slab):
+        # one statement, so no slab outlives its write: [(i, k), (j, l)] -> [i, j, k, l]
+        s[:, lo : lo + per_slab] = (
+            (flat.T @ ch.kraus[:, lo : lo + per_slab].conj().reshape(k, -1))
+            .reshape(d_out, d_in, -1, d_in)
+            .transpose(0, 2, 1, 3)
+        )
+    return s.reshape(d_out * d_out, d_in * d_in)
 
 
 def _kraus_product(kraus: np.ndarray) -> CMatrix:
     """T[(i, k), (j, l)] = sum_a K_a[i, k] conj(K_a[j, l]) of a (K, d_out, d_in)
-    stack in one product; the superoperator and Choi matrix reshuffle it."""
+    stack in one product, the layout the Choi matrix and the axiom check read."""
     ks = kraus.reshape(len(kraus), -1)
     return ks.T @ ks.conj()
 

@@ -184,18 +184,14 @@ def cmd_trace_vectors(args, tol: ToleranceConfig) -> dict:
             "gram_deviation": float(np.max(np.abs(gram - np.eye(alg.dim)))),
             "max_violation": float(worst),
         }
-    if args.check is not None:
-        report = is_trace_vector(v, alg, rho0, tol)
-        return {"passed": report.passed, "max_violation": float(report.max_violation)}
-    if args.rho0 is not None:
+    if args.check is None and args.rho0 is None:
+        return {"has_trace_vector": has_trace_vector(alg), "dim": alg.dim, "blocks": blocks}
+    result = {}
+    if args.check is None:  # --rho0 alone: report the constructed vector
         v = trace_vector_wrt(alg, rho0, tol)
-        report = is_trace_vector(v, alg, rho0, tol)
-        return {
-            "vector": matrix_to_json(v),
-            "passed": report.passed,
-            "max_violation": float(report.max_violation),
-        }
-    return {"has_trace_vector": has_trace_vector(alg), "dim": alg.dim, "blocks": blocks}
+        result["vector"] = matrix_to_json(v)
+    report = is_trace_vector(v, alg, rho0, tol)
+    return {**result, "passed": report.passed, "max_violation": float(report.max_violation)}
 
 
 def cmd_condexp(args, tol: ToleranceConfig) -> dict:

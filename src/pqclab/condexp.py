@@ -29,7 +29,7 @@ from .algebras import (
 )
 from .channels import _CHUNK_BYTES, Channel, DensityOperator, _kraus_product, from_kraus
 from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig, _row_norms
 
 __all__ = [
     "PQCInstance",
@@ -70,9 +70,7 @@ class PQCInstance:
             raise DimensionMismatch(
                 f"state length {states.shape[1]} vs channel input {self.channel.dim_in}"
             )
-        # row norms through the float64 view (re_0, im_0, re_1, ...) of each state
-        parts = states.view(np.float64)
-        norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+        norms = _row_norms(states)
         unit = np.abs(norms - 1.0) <= self.tol.atol  # False for a NaN norm
         if not unit.all():
             raise NotUnitVector(f"state norm {norms[~unit][0]} is not 1 within atol")

@@ -54,6 +54,15 @@ def _size(x, what: str) -> int:
     raise ValueError(f"{what} must be integers, got {x!r}")
 
 
+def _row_norms(a) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D complex array, summed over its
+    float64 view (re_0, im_0, re_1, ...), so a row gets the same bits in a
+    stack as on its own. Both privacy routes, is_trace_vector and
+    PQCInstance, measure unit norm with it and so admit the same vectors."""
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts))
+
+
 def as_cmatrix(a) -> CMatrix:
     """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)

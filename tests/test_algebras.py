@@ -160,6 +160,11 @@ class TestProjection:
         x = np.array([[0.3, 5j], [2.0, 0.7]], dtype=complex)
         assert matrices_equal(project_onto_algebra(DELTA2, x), np.diag([0.3, 0.7]))
 
+    @pytest.mark.parametrize("x", [np.eye(3), np.ones((2, 3))])
+    def test_rejects_a_matrix_of_the_wrong_shape(self, x):
+        with pytest.raises(DimensionMismatch):
+            project_onto_algebra(DELTA2, x)
+
     def test_scalar_projection_averages_trace(self):
         x = np.array([[1.0, 9.0], [4.0, 3.0]], dtype=complex)
         assert matrices_equal(project_onto_algebra(SCALAR2, x), 2.0 * np.eye(2))
@@ -315,6 +320,11 @@ class TestMaxEntangled:
     def test_rejects_thin_blocks(self):
         with pytest.raises(ValueError):
             max_entangled_trace_vector(1, 2)
+
+    @pytest.mark.parametrize("m, n", [(2.0, 1), (2, 1.0), (True, 1), (2, np.bool_(True)), ("2", 1)])
+    def test_rejects_sizes_that_are_not_integers(self, m, n):
+        with pytest.raises(ValueError, match="must be integers"):
+            max_entangled_trace_vector(m, n)
 
     def test_seeds_are_the_diagonal_loops_bit_for_bit(self):
         for m in range(1, 7):

@@ -18,7 +18,14 @@ from pqclab.bloch import (
     sample_private_states,
     transfer,
 )
-from pqclab.channels import Channel, DensityOperator, depolarizing, from_kraus, random_unitary
+from pqclab.channels import (
+    Channel,
+    DensityOperator,
+    depolarizing,
+    from_kraus,
+    is_unital,
+    random_unitary,
+)
 from pqclab.errors import BlochVectorTooLong, DimensionMismatch, NotUnital
 from pqclab.linalg import ToleranceConfig, max_abs_diff
 from pqclab.rand import haar_unitary
@@ -179,7 +186,7 @@ class TestTransfer:
         monkeypatch.setattr(Channel, "apply_matrix", counted)
         transfer(PAULI_MIX)
         assert len(calls) == 0
-        classify(PAULI_MIX)  # is_unital reads sum K K^dag from the stack too
+        classify(PAULI_MIX)  # unitality is read from the transfer's t
         assert len(calls) == 0
 
     def test_rejects_non_qubit_channels(self):
@@ -214,6 +221,34 @@ class TestClassify:
     def test_rejects_non_unital(self):
         with pytest.raises(NotUnital):
             classify(AMP_DAMP)
+
+    def test_not_unital_exactly_when_is_unital_is_false(self):
+        # unital mixes, generic isometries, and amplitude damping between
+        # unitaries, where E(1/2) - 1/2 has eigenvalues +-gamma/2, so an entry
+        # of at least gamma/(2 sqrt 2) >= 1.1e-6
+        rng = np.random.default_rng(21)
+        verdicts = set()
+        for i in range(1200):
+            if i % 3 == 0:
+                probs = rng.dirichlet(np.ones(1 + i % 4))
+                ch = random_unitary(probs, [haar_unitary(2, rng) for _ in probs])
+            elif i % 3 == 1:
+                ch = isometry_channel(2, 2, 1 + i % 4, rng)
+            else:
+                g = 10 ** rng.uniform(-5.5, 0)
+                damp = [[[1, 0], [0, np.sqrt(1 - g)]], [[0, np.sqrt(g)], [0, 0]]]
+                ch = from_kraus(haar_unitary(2, rng) @ np.array(damp) @ haar_unitary(2, rng))
+            rows = ch.kraus.transpose(1, 0, 2).reshape(2, -1)
+            dev = max_abs_diff(rows @ rows.conj().T / 2, np.eye(2) / 2)
+            assert dev < 1e-12 or dev >= 1e-6
+            try:
+                classify(ch)
+                raised = False
+            except NotUnital:
+                raised = True
+            assert raised is (not is_unital(ch))
+            verdicts.add(raised)
+        assert verdicts == {False, True}
 
     def test_tags_and_nullities(self):
         assert (classify(IDENTITY).tag, classify(IDENTITY).nullity) == ("Empty", 0)
@@ -254,6 +289,16 @@ class TestSampling:
     def test_rejects_non_positive_count(self):
         with pytest.raises(ValueError):
             sample_private_states(AllStates(), 0)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, np.bool_(True), "3"])
+    def test_rejects_counts_that_are_not_integers(self, count):
+        with pytest.raises(ValueError, match="must be integers"):
+            sample_private_states(AllStates(), count)
+
+    @pytest.mark.parametrize("s", ["AllStates", None, bloch.PrivateStateSet()])
+    def test_rejects_what_is_not_a_classified_set(self, s):
+        with pytest.raises(TypeError):
+            sample_private_states(s, 3)
 
     @pytest.mark.parametrize("count", [1, 8, 100, 10_000])
     @pytest.mark.parametrize(
@@ -306,6 +351,45 @@ class TestValidation:
     def test_bloch_vector_shape(self):
         with pytest.raises(DimensionMismatch):
             BlochVector(np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bloch_vector_needs_finite_entries(self, bad):
+        r = np.array([0.0, bad, 0.0])
+        for make in (BlochVector, bloch_to_density, bloch_to_ket):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                make(r)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            ([2.0, 0.0], [0.0, 3.0]),
+            ([0.0, 0.0], [0.0, 0.0]),
+            ([1.0, 0.0], [0.0, 1.0 + 1e-7]),
+        ],
+        ids=["long-kets", "zero-kets", "just-over-atol"],
+    )
+    def test_antipodal_pair_needs_unit_kets(self, pair):
+        with pytest.raises(ValueError, match="unit norm"):
+            AntipodalPair(tuple(np.array(s) for s in pair))
+
+    @pytest.mark.parametrize(
+        "pair", [([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([1.0], [0.0]), (np.eye(2), np.eye(2))]
+    )
+    def test_antipodal_pair_needs_qubit_kets(self, pair):
+        with pytest.raises(DimensionMismatch):
+            AntipodalPair(tuple(np.array(s) for s in pair))
+
+    @pytest.mark.parametrize("normal", [[0.0, 1.0], [0.0, 0.0, 1.0, 0.0], np.eye(3)])
+    def test_great_circle_needs_a_3_vector(self, normal):
+        with pytest.raises(DimensionMismatch):
+            GreatCircle(np.array(normal))
+
+    @pytest.mark.parametrize(
+        "T, t", [(np.eye(2), np.zeros(3)), (np.eye(3), np.zeros(2)), (np.eye(3), np.zeros((3, 1)))]
+    )
+    def test_pauli_transfer_needs_a_3x3_T_and_a_3_vector_t(self, T, t):
+        with pytest.raises(DimensionMismatch):
+            PauliTransfer(T, t)
 
     def test_antipodal_pair_must_be_orthogonal(self):
         with pytest.raises(ValueError):

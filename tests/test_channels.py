@@ -42,6 +42,7 @@ from reference import (
     reference_convex_mix,
     reference_depolarizing,
     reference_kraus_from_choi,
+    reference_superoperator,
     vec,
 )
 
@@ -92,10 +93,33 @@ class TestConstruction:
         with pytest.raises(ValueError):
             depolarizing(1.2, 2)
 
+    @pytest.mark.parametrize("p", [True, np.bool_(True)])
+    def test_depolarizing_rejects_a_bool_noise(self, p):
+        with pytest.raises(ValueError, match="p must lie in"):
+            depolarizing(p, 2)
+
     @pytest.mark.parametrize("d", [2.0, 2.5, True, np.bool_(True), "2"])
     def test_depolarizing_rejects_dimensions_that_are_not_integers(self, d):
         with pytest.raises(ValueError, match="must be integers"):
             depolarizing(0.5, d)
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_depolarizing_rejects_non_positive_dimensions(self, d):
+        with pytest.raises(ValueError, match="must be positive"):
+            depolarizing(0.5, d)
+
+    @pytest.mark.parametrize(
+        "probs, unitaries",
+        [([1.0], [np.ones((2, 3))]), ([0.5, 0.5], [np.eye(2), np.eye(3)])],
+        ids=["non-square", "mixed-sizes"],
+    )
+    def test_random_unitary_rejects_unitaries_of_the_wrong_shape(self, probs, unitaries):
+        with pytest.raises(DimensionMismatch, match="square shape"):
+            random_unitary(probs, unitaries)
+
+    def test_density_operator_must_be_square(self):
+        with pytest.raises(DimensionMismatch):
+            DensityOperator(np.ones((2, 3)) / 2)
 
     def test_density_operator_validation(self):
         with pytest.raises(ValueError):
@@ -204,7 +228,7 @@ class TestAction:
             s[0, 0] = 0
         # S[(i, j), (k, l)] = sum_a K_a[i, k] conj(K_a[j, l]), slab by slab
         assert s.shape == (d_out**2, d_in**2)
-        assert max_abs_diff(s, superoperator(ch)) <= 1e-15
+        assert max_abs_diff(s, reference_superoperator(ch)) <= 1e-15
 
     @pytest.mark.parametrize("lead", [(), (1,)])
     def test_a_warm_call_allocates_only_its_output(self, lead):
@@ -296,6 +320,21 @@ class TestChoi:
         ch = isometry_channel(d_in, d_out, 3, np.random.default_rng(10 * d_in + d_out))
         assert np.array_equal(choi(ch), reference_choi_from_superoperator(ch))
 
+    def test_kraus_from_choi_rejects_a_choi_matrix_of_the_wrong_shape(self):
+        with pytest.raises(DimensionMismatch):
+            kraus_from_choi(np.eye(4) / 2, 2, 3)
+
+    @pytest.mark.parametrize(
+        "dim_in, dim_out", [(2.0, 2.0), (2, 2.0), (True, 4), (np.bool_(True), 4), ("2", 2)]
+    )
+    def test_kraus_from_choi_rejects_dimensions_that_are_not_integers(self, dim_in, dim_out):
+        with pytest.raises(ValueError, match="must be integers"):
+            kraus_from_choi(np.eye(4) / 2, dim_in, dim_out)
+
+    def test_channels_of_different_dimensions_are_not_equal(self):
+        assert not channels_equal(DEPHASING, depolarizing(1.0, 3))
+        assert not channels_equal(DEPHASING, isometry_channel(2, 3, 1, np.random.default_rng(3)))
+
     def test_kraus_from_choi_drops_null_directions(self):
         rebuilt = kraus_from_choi(choi(DEPHASING), 2, 2)
         assert len(rebuilt.kraus) == 2
@@ -320,6 +359,10 @@ class TestCompose:
 
     def test_dephasing_is_idempotent(self):
         assert channels_equal(compose(DEPHASING, DEPHASING), DEPHASING)
+
+    def test_rejects_mismatched_dimensions(self):
+        with pytest.raises(DimensionMismatch, match="cannot chain"):
+            compose(DEPHASING, depolarizing(1.0, 3))
 
     @given(st.integers(0, 10**6))
     def test_matches_sequential_application(self, seed):
@@ -366,6 +409,15 @@ class TestConvexMix:
     def test_rejects_bad_weights(self):
         with pytest.raises(NotAProbabilityDistribution):
             convex_mix([0.7, 0.7], [from_kraus([np.eye(2)]), from_kraus([SZ])])
+
+    @pytest.mark.parametrize(
+        "weights, dims",
+        [([1.0], (2, 2)), ([[0.5, 0.5]], (2, 2)), ([0.5, 0.5], (2, 3))],
+        ids=["too-few-weights", "weights-not-1d", "different-dimensions"],
+    )
+    def test_rejects_mismatched_inputs(self, weights, dims):
+        with pytest.raises(DimensionMismatch):
+            convex_mix(weights, [depolarizing(1.0, d) for d in dims])
 
 
 class TestCptpInvariants:

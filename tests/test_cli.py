@@ -343,6 +343,24 @@ class TestTraceVectors:
         assert code == 0
         assert json.loads(out)["result"]["passed"] is True
 
+    @pytest.mark.parametrize(
+        "modes, keys",
+        [
+            (["--check"], ["passed", "max_violation"]),
+            (["--check", "--rho0"], ["passed", "max_violation"]),
+            (["--rho0"], ["vector", "passed", "max_violation"]),
+        ],
+    )
+    def test_check_and_wrt_reports_keep_their_key_order(self, capsys, write_doc, modes, keys):
+        files = {
+            "--check": write_doc("v.json", {"vector": [[1, 0], [0, 0]]}),
+            "--rho0": write_doc("rho0.json", {"rho0": matrix_to_json(np.diag([0.75, 0.25]))}),
+        }
+        argv = [arg for mode in modes for arg in (mode, files[mode])]
+        code, out, _ = run_cli(capsys, "trace-vectors", write_doc("alg.json", DELTA2_DOC), *argv)
+        assert code == 0
+        assert list(json.loads(out)["result"]) == keys
+
     def test_wrt_mode_constructs_a_vector(self, capsys, write_doc):
         rho = write_doc("rho0.json", {"rho0": matrix_to_json(np.diag([0.75, 0.25]))})
         code, out, _ = run_cli(

@@ -635,6 +635,36 @@ class TestIsPqc:
         with pytest.raises(error):
             PQCInstance(states, E_DELTA, MIXED2)
 
+    def test_instance_rejects_a_target_of_the_wrong_dimension(self):
+        with pytest.raises(DimensionMismatch, match="target dimension"):
+            PQCInstance((np.array([1.0, 0.0]),), E_DELTA, DensityOperator(np.eye(3) / 3))
+
+    def test_both_routes_take_one_unit_norm_verdict_at_the_atol_edge(self):
+        # np.linalg.norm reads 1 + 0.9999999e-9 here, and the sum over the
+        # float64 view 1 + 1.0000001e-9: on either side of the default atol
+        v = np.array(
+            [
+                -0.1136867858650831 - 0.5691000446807839j,
+                0.10702248036821485 - 0.34717662233021723j,
+                -0.3583091068953433 + 0.07872853559457615j,
+                0.3972586536276922 + 0.48868906390886396j,
+            ]
+        )
+        alg = AlgebraSpec(((4, 1),))
+        rho0 = DensityOperator(np.eye(4) / 4)
+        routes = (
+            lambda: is_trace_vector(v, alg, rho0),
+            lambda: PQCInstance((v,), condexp_channel(alg), rho0),
+        )
+        admitted = []
+        for route in routes:
+            try:
+                route()
+                admitted.append(True)
+            except NotUnitVector:
+                admitted.append(False)
+        assert admitted[0] == admitted[1]
+
     def test_states_are_one_read_only_stack(self):
         given = [_equator_state(0.3), np.array([1.0, 4e-5])]  # norm 1 + 8e-10
         inst = PQCInstance(given, E_DELTA, MIXED2)

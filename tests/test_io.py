@@ -138,6 +138,21 @@ class TestChannelSpecs:
     @pytest.mark.parametrize(
         "doc",
         [
+            [],
+            "kraus",
+            3,
+            None,
+            {"kind": "random_unitary", "probs": 1.0, "unitaries": [[[1, 0], [0, 1]]]},
+            {"kind": "random_unitary", "probs": [1.0], "unitaries": {"u": [[1, 0], [0, 1]]}},
+        ],
+    )
+    def test_rejects_documents_of_the_wrong_json_type(self, doc):
+        with pytest.raises(SpecFormatError):
+            channel_from_spec(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
             {"kind": "depolarizing", "p": 0.5, "d": 2.9},
             {"kind": "depolarizing", "p": 0.5, "d": 2.0},
             {"kind": "depolarizing", "p": float("nan"), "d": 2},

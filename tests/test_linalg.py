@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pqclab.errors import DimensionMismatch
 from pqclab.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _row_norms,
     as_cmatrix,
     is_hermitian,
     is_psd,
@@ -79,6 +81,11 @@ class TestPartialTrace:
         with pytest.raises(Exception):
             partial_trace(np.eye(4), 3, 2, "left")
 
+    @pytest.mark.parametrize("side", ["middle", "Left", None])
+    def test_rejects_a_bad_side(self, side):
+        with pytest.raises(ValueError, match="side must be"):
+            partial_trace(np.eye(4), 2, 2, side)
+
 
 class TestNullspace:
     def test_zero_matrix(self):
@@ -92,6 +99,14 @@ class TestNullspace:
     def test_non_finite_entries_raise(self, bad):
         with pytest.raises(ValueError, match="NaN or Inf"):
             nullspace_basis(np.array([[bad, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2)), np.float64(1.0)])
+    def test_rejects_input_that_is_not_2d(self, m):
+        with pytest.raises(DimensionMismatch):
+            nullspace_basis(m)
+
+    def test_empty_matrix_has_an_empty_basis(self):
+        assert nullspace_basis(np.zeros((0, 0))) == []
 
     def test_rank_deficient_diagonal(self):
         basis = nullspace_basis(np.diag([0.0, 0.5, 0.5]), DEFAULT_TOL)
@@ -133,6 +148,10 @@ class TestHermitianPsd:
         assert is_psd(np.array([[1.0, 5e-10], [0.0, 1.0]]))
         assert not is_psd(np.array([[1.0, 2e-9], [0.0, 1.0]]))
         assert not is_psd(np.array([[1.0, 1j], [1j, 1.0]]))
+
+    def test_non_square_is_not_hermitian(self):
+        assert not is_hermitian(np.ones((2, 3)))
+        assert not is_hermitian(np.zeros((3, 1)))
 
     def test_non_square_is_not_psd(self):
         assert not is_psd(np.ones((2, 3)))
@@ -234,6 +253,21 @@ class TestValidation:
     def test_as_cmatrix_rejects_non_finite(self):
         with pytest.raises(ValueError):
             as_cmatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("a, b", [(np.eye(2), np.eye(3)), (np.eye(2), np.ones(4))])
+    def test_max_abs_diff_rejects_mismatched_shapes(self, a, b):
+        with pytest.raises(DimensionMismatch, match="shape mismatch"):
+            max_abs_diff(a, b)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 20, 33])
+    def test_row_norms_of_a_stack_are_each_row_alone(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d))
+        norms = _row_norms(a)
+        assert all(_row_norms(a[i : i + 1])[0] == norms[i] for i in range(40))
+        # a strided view gives the bits of its contiguous copy
+        assert np.array_equal(_row_norms(a[::2]), norms[::2])
+        assert np.allclose(norms, np.linalg.norm(a, axis=1), rtol=1e-14, atol=0)
 
     def test_as_cmatrix_rejects_wrong_ndim(self):
         from pqclab.errors import DimensionMismatch
