@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import DensityOperator
+from .channels import DensityOperator, _as_density
 from .errors import (
     DimensionMismatch,
     Infeasible,
@@ -215,7 +215,7 @@ class TraceVectorReport:
 
 
 def _as_state(rho0, dim: int, tol: ToleranceConfig) -> DensityOperator:
-    state = rho0 if isinstance(rho0, DensityOperator) else DensityOperator(rho0, tol)
+    state = _as_density(rho0, tol)
     if state.dim != dim:
         raise DimensionMismatch(f"state dimension {state.dim} vs algebra dimension {dim}")
     return state
@@ -287,8 +287,8 @@ def max_entangled_trace_vector(m: int, n: int) -> np.ndarray:
     """The vector (1/sqrt(n)) sum_{i<n} e_i (x) f_i on C^m (x) C^n, a trace
     vector of the single-block algebra 1_m (x) M_n when m >= n."""
     m, n = _size(m, "block sizes"), _size(n, "block sizes")
-    if m < n:
-        raise ValueError(f"need m >= n, got ({m}, {n})")
+    if n < 1 or m < n:
+        raise ValueError(f"need m >= n >= 1, got ({m}, {n})")
     return np.eye(m, n, dtype=np.complex128).reshape(-1) / np.sqrt(n)
 
 

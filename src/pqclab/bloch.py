@@ -304,7 +304,7 @@ def sample_private_states(s: PrivateStateSet, count: int) -> list[np.ndarray]:
     if isinstance(s, AntipodalPair):
         return [np.array(st) for st in s.states]
     if isinstance(s, GreatCircle):
-        return list(_kets(_circle_points(s.normal, count), DEFAULT_TOL))
+        return list(_kets(_circle_points(s.normal, count), s.tol))
     if isinstance(s, AllStates):
         return list(_kets(_fibonacci_sphere(count), DEFAULT_TOL))
     raise TypeError(f"not a PrivateStateSet: {s!r}")

@@ -24,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     CMatrix,
     ToleranceConfig,
+    _is_real,
     _size,
     as_cmatrix,
     freeze,
@@ -192,8 +193,8 @@ def depolarizing(p: float, d: int) -> Channel:
     unitaries at weight p/d^2 each (the qubit case reduces to the familiar
     square-root-weighted Pauli conjugations).
     """
-    if isinstance(p, (bool, np.bool_)) or not (0 < p <= 1):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    if not _is_real(p) or not (0 < p <= 1):
+        raise ValueError(f"p must lie in (0, 1], got {p!r}")
     d = _size(d, "dimensions")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -221,8 +222,15 @@ def convex_mix(weights, channels, tol: ToleranceConfig = DEFAULT_TOL) -> Channel
     return from_kraus(np.concatenate(ks), tol)
 
 
-def apply(ch: Channel, rho: DensityOperator, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
-    """Apply the channel to a state; the output is validated as a state."""
+def _as_density(rho, tol: ToleranceConfig) -> DensityOperator:
+    """rho if it is a DensityOperator, else the raw matrix validated as one at tol."""
+    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho, tol)
+
+
+def apply(ch: Channel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
+    """Apply the channel to a state, a DensityOperator or a raw matrix
+    validated as one at tol; the output is validated as a state."""
+    rho = _as_density(rho, tol)
     if rho.dim != ch.dim_in:
         raise DimensionMismatch(f"state dimension {rho.dim} vs channel input {ch.dim_in}")
     return DensityOperator(ch.apply_matrix(rho.mat), tol)
@@ -243,6 +251,8 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT
     from_kraus, so a non-CP or non-TP input fails loudly.
     """
     dim_in, dim_out = _size(dim_in, "dimensions"), _size(dim_out, "dimensions")
+    if dim_in < 1 or dim_out < 1:
+        raise ValueError(f"dim_in and dim_out must be positive, got ({dim_in}, {dim_out})")
     j = as_cmatrix(j)
     if j.shape != (dim_in * dim_out, dim_in * dim_out):
         raise DimensionMismatch(f"Choi matrix shape {j.shape} vs dims ({dim_in}, {dim_out})")

@@ -27,7 +27,14 @@ from .algebras import (
     _state_in_algebra,
     is_trace_vector,
 )
-from .channels import _CHUNK_BYTES, Channel, DensityOperator, _kraus_product, from_kraus
+from .channels import (
+    _CHUNK_BYTES,
+    Channel,
+    DensityOperator,
+    _as_density,
+    _kraus_product,
+    from_kraus,
+)
 from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector
 from .linalg import DEFAULT_TOL, ToleranceConfig, _row_norms
 
@@ -51,6 +58,8 @@ class PQCInstance:
     per state in the order given, as a Channel holds one Kraus stack, and
     is_pqc makes one Channel.apply_matrix call per chunk of its rows. Every
     state must have the channel's input length and unit norm within atol.
+    A raw rho0 is validated as a DensityOperator at tol, as is_trace_vector
+    validates its target.
     """
 
     states: np.ndarray
@@ -74,12 +83,14 @@ class PQCInstance:
         unit = np.abs(norms - 1.0) <= self.tol.atol  # False for a NaN norm
         if not unit.all():
             raise NotUnitVector(f"state norm {norms[~unit][0]} is not 1 within atol")
-        if self.rho0.dim != self.channel.dim_out:
+        rho0 = _as_density(self.rho0, self.tol)
+        if rho0.dim != self.channel.dim_out:
             raise DimensionMismatch(
-                f"target dimension {self.rho0.dim} vs channel output {self.channel.dim_out}"
+                f"target dimension {rho0.dim} vs channel output {self.channel.dim_out}"
             )
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "rho0", rho0)
 
 
 @dataclass(frozen=True)
@@ -192,9 +203,13 @@ def verify_condexp_axioms(
        products.
 
     In block coordinates S' L_b' and L_b' P'S' each have O(m d^3) nonzero
-    entries, so all residuals are gathered from slices of S' and of the
-    block rows of P'S', blocks of one shape at a time, with no product
-    beyond the one that forms T', of which S' is a view.
+    entries, so the residuals where both are nonzero are gathered from the
+    support rows of S' and the block rows of P'S', blocks of one shape at a
+    time, with no product beyond the one that forms T', of which S' is a
+    view. Where S' L_b' alone is nonzero, its worst entry is the max of
+    |S'[x, y, (c, s), l]| over c and l. The max over l is taken once for
+    all shapes, over each run of d entries along the rows of |T'|, in T's
+    own layout, so no copy of S' is gathered.
     """
     d = alg.dim
     if ch.dim_in != d or ch.dim_out != d:
@@ -203,6 +218,8 @@ def verify_condexp_axioms(
     # T'[(x, k), (y, l)] of U K_a U^dag is S'[(x, y), (k, l)], viewed as S'[x, y, k, l]
     t = _kraus_product(u @ ch.kraus @ u.conj().T)
     s = t.reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    # max_l |S'[x, y, k, l]|, read along T's rows and indexed [x, k, y]
+    col_max = np.abs(t).reshape(d, d, d, d).max(axis=3)
 
     fixes = bimodule = 0.0
     for m, n, pos in alg._shape_groups:
@@ -224,9 +241,9 @@ def verify_condexp_axioms(
         both = s[x[..., None], y[..., None], pos_t[:, None, :, None, :]]
         mixed = ps[j[..., None], r[:, None, None], r[:, None], pos_t[:, :, None, :]]
         worst = float(np.abs(both[:, :, :, None] - mixed[:, None, None]).max())
-        # S' L_b' alone, at every other row of the columns ((c, t), l): [x, y, j, s]
-        lhs = np.abs(s[:, :, pos]).max(axis=(3, 5))
-        lhs[x, y, j[..., None], r[:, None]] = 0.0
+        # S' L_b' alone, at every other row of the columns ((c, t), l): [x, j, s, y]
+        lhs = col_max[:, pos].max(axis=2)
+        lhs[x, j[..., None], r[:, None], y] = 0.0
         # L_b' P'S' alone, at every other column of its rows: [j, t, k]
         rhs = np.abs(ps).max(axis=(2, 4))
         rhs[j, r[:, None], pos_t] = 0.0

@@ -27,6 +27,11 @@ __all__ = [
 ]
 
 
+def _is_real(x) -> bool:
+    """True for a Python or numpy integer or float that is not a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Absolute tolerance driving every equality, PSD, and rank decision.
@@ -40,7 +45,7 @@ class ToleranceConfig:
     atol: float = 1e-9
 
     def __post_init__(self):
-        if isinstance(self.atol, (bool, np.bool_)) or not 0 < self.atol < np.inf:
+        if not _is_real(self.atol) or not 0 < self.atol < np.inf:
             raise ValueError(f"atol must be a positive and finite number, got {self.atol!r}")
 
 

@@ -9,6 +9,10 @@ loops over Kraus operators, basis elements and basis pairs, so tests can
 cross-check the closed forms and products the library uses against them.
 reference_axioms is the axiom check in computational coordinates with
 batched small products and positivity from the full Choi matrix.
+reference_gathered_axioms is the block-coordinate axiom check that reads
+the off-support maxima of S' L_b' from a gathered copy of S', against
+which the library's reading of them from T' in place is required to give
+the same report bit for bit.
 compose, convex_mix, depolarizing and kraus_from_choi are rebuilt as the
 Python lists of Kraus operators, one operator at a time, that the
 library's single-array forms replace. reference_transfer and
@@ -44,9 +48,9 @@ assertion helpers that the library itself has no use for.
 
 import numpy as np
 
-from pqclab.algebras import canonical_basis, projection_superoperator
+from pqclab.algebras import _block_sums, canonical_basis, projection_superoperator
 from pqclab.bloch import PAULIS, PauliTransfer, density_to_bloch
-from pqclab.channels import choi, from_kraus, kraus_from_choi, superoperator
+from pqclab.channels import _kraus_product, choi, from_kraus, kraus_from_choi, superoperator
 from pqclab.condexp import AxiomReport, PqcReport
 from pqclab.errors import DimensionMismatch, Infeasible
 from pqclab.io import matrix_to_json
@@ -243,6 +247,34 @@ def reference_axioms(ch, alg, tol=DEFAULT_TOL):
     trace_pres = float(np.max(np.abs(tr_row - vec(np.eye(n)).conj())))
     passed = fixes <= tol.atol and bimodule <= tol.atol and positive and trace_pres <= tol.atol
     return AxiomReport(fixes, bimodule, positive, trace_pres, passed)
+
+
+def reference_gathered_axioms(ch, alg, tol=DEFAULT_TOL):
+    """The block-coordinate AxiomReport with the maxima of S' L_b' off the
+    support of L_b' P'S' taken over s[:, :, pos], a gathered d^4 copy of S'
+    per shape group, indexed [x, y, j, a, s, l]."""
+    d, u = alg.dim, alg.basis_change
+    s = _kraus_product(u @ ch.kraus @ u.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    fixes = bimodule = 0.0
+    for m, n, pos in alg._shape_groups:
+        pos_t = pos.transpose(0, 2, 1)
+        j, r = np.arange(len(pos))[:, None, None], np.arange(n)
+        x, y = pos[..., None], pos[..., None, :]
+        fix = s[:, :, x, y].sum(axis=3)
+        fix[x, y, j[..., None], r[:, None], r] -= 1.0
+        fixes = max(fixes, float(np.abs(fix).max()))
+        ps = _block_sums(s, pos) / m
+        both = s[x[..., None], y[..., None], pos_t[:, None, :, None, :]]
+        mixed = ps[j[..., None], r[:, None, None], r[:, None], pos_t[:, :, None, :]]
+        worst = float(np.abs(both[:, :, :, None] - mixed[:, None, None]).max())
+        lhs = np.abs(s[:, :, pos]).max(axis=(3, 5))
+        lhs[x, y, j[..., None], r[:, None]] = 0.0
+        rhs = np.abs(ps).max(axis=(2, 4))
+        rhs[j, r[:, None], pos_t] = 0.0
+        bimodule = max(bimodule, worst, float(lhs.max()), float(rhs.max()))
+    trace_pres = float(np.max(np.abs(np.einsum("xxkl->kl", s) - np.eye(d))))
+    passed = fixes <= tol.atol and bimodule <= tol.atol and trace_pres <= tol.atol
+    return AxiomReport(fixes, bimodule, True, trace_pres, passed)
 
 
 def reference_transfer(ch, tol=DEFAULT_TOL):

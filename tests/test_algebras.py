@@ -321,6 +321,11 @@ class TestMaxEntangled:
         with pytest.raises(ValueError):
             max_entangled_trace_vector(1, 2)
 
+    @pytest.mark.parametrize("m, n", [(0, 0), (-1, -2), (1, 0), (-1, 0)])
+    def test_rejects_empty_and_negative_sizes(self, m, n):
+        with pytest.raises(ValueError, match="need m >= n >= 1"):
+            max_entangled_trace_vector(m, n)
+
     @pytest.mark.parametrize("m, n", [(2.0, 1), (2, 1.0), (True, 1), (2, np.bool_(True)), ("2", 1)])
     def test_rejects_sizes_that_are_not_integers(self, m, n):
         with pytest.raises(ValueError, match="must be integers"):

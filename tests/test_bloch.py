@@ -295,6 +295,14 @@ class TestSampling:
         with pytest.raises(ValueError, match="must be integers"):
             sample_private_states(AllStates(), count)
 
+    def test_a_circle_is_sampled_at_its_own_tolerance(self):
+        # the normal is 1e-8 off unit, so every in-plane point is too
+        s = GreatCircle(np.array([0.0, 0.0, 1.0 + 1e-8]), ToleranceConfig(1e-7))
+        kets = sample_private_states(s, 4)
+        assert len(kets) == 4
+        for psi in kets:
+            assert abs(np.linalg.norm(psi) - 1.0) < 1e-7
+
     @pytest.mark.parametrize("s", ["AllStates", None, bloch.PrivateStateSet()])
     def test_rejects_what_is_not_a_classified_set(self, s):
         with pytest.raises(TypeError):

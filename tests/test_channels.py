@@ -98,6 +98,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="p must lie in"):
             depolarizing(p, 2)
 
+    @pytest.mark.parametrize("p", ["0.5", 0.5 + 0j, None, [0.5]])
+    def test_depolarizing_rejects_a_noise_that_is_not_a_real_number(self, p):
+        with pytest.raises(ValueError, match="p must lie in"):
+            depolarizing(p, 2)
+
     @pytest.mark.parametrize("d", [2.0, 2.5, True, np.bool_(True), "2"])
     def test_depolarizing_rejects_dimensions_that_are_not_integers(self, d):
         with pytest.raises(ValueError, match="must be integers"):
@@ -186,6 +191,16 @@ class TestAction:
         out = apply(DEPHASING, rho)
         assert isinstance(out, DensityOperator)
         assert matrices_equal(out.mat, np.eye(2) / 2)
+
+    def test_apply_validates_a_raw_matrix_as_a_state(self):
+        raw = np.array([[0.7, 0.2], [0.2, 0.3]])
+        got = apply(DEPHASING, raw)
+        assert isinstance(got, DensityOperator)
+        assert np.array_equal(got.mat, apply(DEPHASING, DensityOperator(raw)).mat)
+        with pytest.raises(ValueError, match="PSD"):
+            apply(DEPHASING, np.diag([1.5, -0.5]))
+        with pytest.raises(DimensionMismatch):
+            apply(DEPHASING, np.eye(3) / 3)
 
     def test_apply_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -319,6 +334,11 @@ class TestChoi:
     def test_equals_the_reshuffled_superoperator_bit_for_bit(self, d_in, d_out):
         ch = isometry_channel(d_in, d_out, 3, np.random.default_rng(10 * d_in + d_out))
         assert np.array_equal(choi(ch), reference_choi_from_superoperator(ch))
+
+    @pytest.mark.parametrize("dim_in, dim_out", [(0, 0), (0, 2), (2, 0), (-1, -1)])
+    def test_kraus_from_choi_rejects_non_positive_dimensions(self, dim_in, dim_out):
+        with pytest.raises(ValueError, match="dim_in and dim_out must be positive"):
+            kraus_from_choi(np.zeros((0, 0)), dim_in, dim_out)
 
     def test_kraus_from_choi_rejects_a_choi_matrix_of_the_wrong_shape(self):
         with pytest.raises(DimensionMismatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pqclab import algebras, channels, condexp
@@ -67,6 +67,7 @@ from reference import (
     reference_bimodule,
     reference_choi,
     reference_condexp,
+    reference_gathered_axioms,
     reference_is_pqc,
     reference_is_separating,
     reference_projection_superoperator,
@@ -250,6 +251,20 @@ class TestAxioms:
         report = verify_condexp_axioms(mixed, alg)
         assert report.positive and report.bimodule > 1e-6 and not report.passed
 
+    def test_d32_diagonal_check_holds_no_copy_of_the_superoperator(self):
+        # T' alone is d^4 complex entries, 16 MiB; a gathered copy of S' and
+        # its absolute values would add 24 MiB more
+        alg = _haar_algebra(((1, 1),) * 32, 0, np.random.default_rng(352))
+        ch = condexp_channel(alg)
+        tracemalloc.start()
+        try:
+            report = verify_condexp_axioms(ch, alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 30 * 2**20
+
     @pytest.mark.parametrize(
         "alg",
         [DELTA2, SCALAR2, TWO_BY_M2],
@@ -406,6 +421,37 @@ class TestLoopReferences:
                 got, old = getattr(report, name), getattr(computational, name)
                 assert abs(got - getattr(want, name)) <= 1e-12, name
                 assert got <= factor * old + 1e-12 and old <= factor * got + 1e-12, name
+
+    @given(
+        blocks=st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4
+        ).filter(lambda blocks: sum(m * n for m, n in blocks) <= 10),
+        zero_dim=st.integers(0, 2),
+        kind=st.sampled_from(["own", "wrong-basis", "random-unitary", "mix"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(blocks=[(2, 1), (1, 1), (2, 1)], zero_dim=0, kind="own", seed=1)
+    @example(blocks=[(2, 1), (1, 1), (2, 1)], zero_dim=0, kind="wrong-basis", seed=2)
+    @example(blocks=[(1, 2), (2, 2), (1, 2)], zero_dim=1, kind="mix", seed=3)
+    @example(blocks=[(1, 1), (3, 1), (1, 1)], zero_dim=2, kind="random-unitary", seed=4)
+    def test_axiom_report_equals_the_gathered_reference_bit_for_bit(
+        self, blocks, zero_dim, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        alg = _haar_algebra(tuple(blocks), zero_dim, rng)
+        d = alg.dim
+        # the expectation of a unital algebra with the zero summand as one more block
+        unital = tuple(blocks) + (((1, zero_dim),) if zero_dim else ())
+        basis = haar_unitary(d, rng) if kind == "wrong-basis" else alg.basis_change
+        e = condexp_channel(AlgebraSpec(unital, 0, basis))
+        ch = {
+            "own": e,
+            "wrong-basis": e,
+            "random-unitary": random_ru_channel(d, 3, rng),
+            "mix": convex_mix([1 - 1e-3, 1e-3], [e, from_kraus([haar_unitary(d, rng)])]),
+        }[kind]
+        # the residuals are maxima of absolute values, so == compares every bit
+        assert verify_condexp_axioms(ch, alg) == reference_gathered_axioms(ch, alg)
 
     @pytest.mark.parametrize("shape", HAAR_SHAPES)
     def test_block_projection_is_the_rotated_projection(self, shape):
@@ -638,6 +684,20 @@ class TestIsPqc:
     def test_instance_rejects_a_target_of_the_wrong_dimension(self):
         with pytest.raises(DimensionMismatch, match="target dimension"):
             PQCInstance((np.array([1.0, 0.0]),), E_DELTA, DensityOperator(np.eye(3) / 3))
+
+    def test_a_raw_target_is_validated_as_a_state(self):
+        rng = np.random.default_rng(17)
+        states = [random_unit_vector(2, rng) for _ in range(5)] + [_equator_state(0.3)]
+        raw = np.eye(2) / 2
+        got = is_pqc(PQCInstance(states, E_DELTA, raw))
+        want = is_pqc(PQCInstance(states, E_DELTA, MIXED2))
+        assert got.verdict is want.verdict is False
+        assert got.residuals == want.residuals
+        assert isinstance(PQCInstance(states, E_DELTA, raw).rho0, DensityOperator)
+        with pytest.raises(ValueError, match="PSD"):
+            PQCInstance(states, E_DELTA, np.diag([1.5, -0.5]))
+        with pytest.raises(DimensionMismatch, match="target dimension"):
+            PQCInstance(states, E_DELTA, np.eye(3) / 3)
 
     def test_both_routes_take_one_unit_norm_verdict_at_the_atol_edge(self):
         # np.linalg.norm reads 1 + 0.9999999e-9 here, and the sum over the

@@ -250,6 +250,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be a positive and finite number"):
             ToleranceConfig(atol=atol)
 
+    @pytest.mark.parametrize("atol", ["1e-9", 1e-9 + 0j, None, [1e-9]])
+    def test_tolerance_must_be_a_real_number(self, atol):
+        with pytest.raises(ValueError, match="atol must be a positive and finite number"):
+            ToleranceConfig(atol=atol)
+
     def test_as_cmatrix_rejects_non_finite(self):
         with pytest.raises(ValueError):
             as_cmatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
