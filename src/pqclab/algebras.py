@@ -86,13 +86,14 @@ class AlgebraSpec:
     tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self):
-        what = "block sizes and zero_dim"
-        blocks = tuple((_size(m, what), _size(n, what)) for m, n in self.blocks)
-        zero_dim = _size(self.zero_dim, what)
+        try:
+            pairs = [(m, n) for m, n in self.blocks]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"blocks must be (m, n) pairs, got {self.blocks!r}") from exc
+        blocks = tuple(tuple(_size(x, "block sizes", positive=True) for x in b) for b in pairs)
+        zero_dim = _size(self.zero_dim, "zero_dim")
         if not blocks:
             raise ValueError("need at least one block")
-        if any(m < 1 or n < 1 for m, n in blocks):
-            raise ValueError(f"block sizes must be positive, got {blocks}")
         if zero_dim < 0:
             raise ValueError(f"zero_dim must be nonnegative, got {zero_dim}")
         object.__setattr__(self, "blocks", blocks)
@@ -101,7 +102,7 @@ class AlgebraSpec:
         u = np.eye(d, dtype=np.complex128) if self.basis_change is None else as_cmatrix(self.basis_change)
         if u.shape != (d, d):
             raise DimensionMismatch(f"basis change must be {d}x{d}, got {u.shape}")
-        if max_abs_diff(u.conj().T @ u, np.eye(d)) > self.tol.atol:
+        if not max_abs_diff(u.conj().T @ u, np.eye(d)) <= self.tol.atol:  # NaN fails too
             raise ValueError("basis change fails U^dag U = 1 within atol")
         object.__setattr__(self, "basis_change", freeze(u))
 

@@ -296,9 +296,7 @@ def sample_private_states(s: PrivateStateSet, count: int) -> list[np.ndarray]:
     both deterministically, and all points become kets in one vectorized
     call.
     """
-    count = _size(count, "sample counts")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    count = _size(count, "sample counts", positive=True)
     if isinstance(s, Empty):
         return []
     if isinstance(s, AntipodalPair):

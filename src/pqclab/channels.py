@@ -24,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     CMatrix,
     ToleranceConfig,
+    _complex_array,
     _is_real,
     _size,
     as_cmatrix,
@@ -86,10 +87,7 @@ class Channel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        try:
-            ks = np.array(self.kraus, dtype=np.complex128, order="C")  # a row-major copy
-        except ValueError as exc:
-            raise DimensionMismatch(f"Kraus operators must share one shape: {exc}") from exc
+        ks = _complex_array(self.kraus, "kraus")  # a row-major copy
         if ks.ndim != 3 or ks.size == 0:
             raise DimensionMismatch(f"need a nonempty (K, d_out, d_in) stack, got shape {ks.shape}")
         if not np.all(np.isfinite(ks)):
@@ -162,7 +160,7 @@ def from_kraus(kraus, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
     g = (re_im.T @ re_im).reshape(d, 2, d, 2)
     gram = g[:, 0, :, 0] + g[:, 1, :, 1] + 1j * (g[:, 0, :, 1] - g[:, 1, :, 0])
     err = max_abs_diff(gram, np.eye(d))
-    if err > tol.atol:
+    if not err <= tol.atol:  # so a NaN from overflowing entries fails too
         raise NotTracePreserving(f"sum K^dag K deviates from identity by {err:.3e}")
     return ch
 
@@ -195,9 +193,7 @@ def depolarizing(p: float, d: int) -> Channel:
     """
     if not _is_real(p) or not (0 < p <= 1):
         raise ValueError(f"p must lie in (0, 1], got {p!r}")
-    d = _size(d, "dimensions")
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
+    d = _size(d, "dimensions", positive=True)
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d), 1, axis=0)
     phase = np.diag(omega ** np.arange(d))
@@ -239,9 +235,8 @@ def apply(ch: Channel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperat
 def choi(ch: Channel) -> CMatrix:
     """Choi matrix (id (x) ch) applied to the unnormalized maximally
     entangled matrix sum_kl E_kl (x) E_kl; PSD iff the map is CP."""
-    # J[(k, i), (l, j)] = T[(i, k), (j, l)]
-    t = _kraus_product(ch.kraus).reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
-    return t.transpose(1, 0, 3, 2).reshape(ch.dim_in * ch.dim_out, -1)
+    # J[(k, i), (l, j)] = S[i, j, k, l]
+    return _kraus_product(ch.kraus).transpose(2, 0, 3, 1).reshape(ch.dim_in * ch.dim_out, -1)
 
 
 def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -250,14 +245,14 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT
     Eigenvalues below atol are dropped; the result is re-validated through
     from_kraus, so a non-CP or non-TP input fails loudly.
     """
-    dim_in, dim_out = _size(dim_in, "dimensions"), _size(dim_out, "dimensions")
-    if dim_in < 1 or dim_out < 1:
-        raise ValueError(f"dim_in and dim_out must be positive, got ({dim_in}, {dim_out})")
+    dim_in, dim_out = (_size(n, "dim_in and dim_out", positive=True) for n in (dim_in, dim_out))
     j = as_cmatrix(j)
     if j.shape != (dim_in * dim_out, dim_in * dim_out):
         raise DimensionMismatch(f"Choi matrix shape {j.shape} vs dims ({dim_in}, {dim_out})")
-    evals, evecs = np.linalg.eigh((j + j.conj().T) / 2)
+    evals, evecs = np.linalg.eigh(j / 2 + j.conj().T / 2)  # halved first, as in is_psd
     keep = evals > tol.atol
+    if not keep.any():  # a CPTP map's Choi matrix has trace dim_in
+        raise NotTracePreserving("no eigenvalue of the Choi matrix exceeds atol")
     # eigenvector v, indexed (k, i), gives the Kraus operator K[i, k] = sqrt(lam) v[(k, i)]
     ks = (np.sqrt(evals[keep]) * evecs[:, keep]).T.reshape(-1, dim_in, dim_out)
     return from_kraus(ks.transpose(0, 2, 1), tol)
@@ -266,28 +261,25 @@ def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT
 def superoperator(ch: Channel) -> CMatrix:
     """Matrix of the channel action on row-major vectorized inputs:
     vec(ch(X)) = S vec(X), S[(i, j), (k, l)] = sum_a K_a[i, k] conj(K_a[j, l]).
-    S is written in slabs of output index j, each one product of the stack
-    with its slab's conjugate, as many j as fit in ``_CHUNK_BYTES`` and at
+    S is written in slabs of output index j, each one :func:`_kraus_product`
+    of the stack with its slab, as many j as fit in ``_CHUNK_BYTES`` and at
     least one: no other d^4-sized array is held, and a small channel is one slab."""
     k, d_out, d_in = ch.kraus.shape
     s = np.empty((d_out, d_out, d_in, d_in), dtype=np.complex128)
-    flat = ch.kraus.reshape(k, d_out * d_in)
     per_slab = max(1, _CHUNK_BYTES // (s.itemsize * d_in * (d_out * d_in + k)))
     for lo in range(0, d_out, per_slab):
-        # one statement, so no slab outlives its write: [(i, k), (j, l)] -> [i, j, k, l]
-        s[:, lo : lo + per_slab] = (
-            (flat.T @ ch.kraus[:, lo : lo + per_slab].conj().reshape(k, -1))
-            .reshape(d_out, d_in, -1, d_in)
-            .transpose(0, 2, 1, 3)
-        )
+        # one statement, so no slab outlives its write
+        s[:, lo : lo + per_slab] = _kraus_product(ch.kraus, ch.kraus[:, lo : lo + per_slab])
     return s.reshape(d_out * d_out, d_in * d_in)
 
 
-def _kraus_product(kraus: np.ndarray) -> CMatrix:
-    """T[(i, k), (j, l)] = sum_a K_a[i, k] conj(K_a[j, l]) of a (K, d_out, d_in)
-    stack in one product, the layout the Choi matrix and the axiom check read."""
-    ks = kraus.reshape(len(kraus), -1)
-    return ks.T @ ks.conj()
+def _kraus_product(kraus: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
+    """S[i, j, k, l] = sum_a K_a[i, k] conj(R_a[j, l]) of a (K, d_out, d_in)
+    stack K and R, K (the default) or a slab K[:, lo:hi], as a (d_out, n_j,
+    d_in, d_in) view of one product: the only code that forms this tensor."""
+    k, d_out, d_in = kraus.shape
+    t = kraus.reshape(k, -1).T @ (kraus if right is None else right).conj().reshape(k, -1)
+    return t.reshape(d_out, d_in, -1, d_in).transpose(0, 2, 1, 3)
 
 
 def compose(a: Channel, b: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
@@ -314,7 +306,7 @@ def is_unital(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def channels_equal(a: Channel, b: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Choi-matrix equality within atol."""
+    """Choi-matrix equality within atol, read from the two Kraus products."""
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         return False
-    return max_abs_diff(choi(a), choi(b)) <= tol.atol
+    return max_abs_diff(_kraus_product(a.kraus), _kraus_product(b.kraus)) <= tol.atol

@@ -297,7 +297,8 @@ def main(argv=None) -> int:
         if [getattr(args, k, None) for k in _INPUTS].count("-") > 1:
             raise CliFailure("- (stdin) may be given for at most one input")
         tol = _resolve_tol(args)
-        result = args.run(args, tol)
+        with np.errstate(all="ignore"):  # the checks reject what overflows to inf or NaN
+            result = args.run(args, tol)
     except (CliFailure, OSError) as exc:  # OSError: writing --out; inputs go through _parse
         code, message = 1, str(exc)
     except (PqclabError, ValueError) as exc:  # raised once every input is built

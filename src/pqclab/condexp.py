@@ -36,7 +36,7 @@ from .channels import (
     from_kraus,
 )
 from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector
-from .linalg import DEFAULT_TOL, ToleranceConfig, _row_norms
+from .linalg import DEFAULT_TOL, ToleranceConfig, _complex_array, _row_norms
 
 __all__ = [
     "PQCInstance",
@@ -68,10 +68,7 @@ class PQCInstance:
     tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
-        try:
-            states = np.array(self.states, dtype=np.complex128)  # a copy of its own
-        except ValueError as exc:
-            raise DimensionMismatch(f"states must share one length: {exc}") from exc
+        states = _complex_array(self.states, "states")  # a copy of its own
         if states.ndim == 0 or len(states) == 0:
             raise ValueError("need at least one state")
         states = states.reshape(len(states), -1)
@@ -205,21 +202,18 @@ def verify_condexp_axioms(
     In block coordinates S' L_b' and L_b' P'S' each have O(m d^3) nonzero
     entries, so the residuals where both are nonzero are gathered from the
     support rows of S' and the block rows of P'S', blocks of one shape at a
-    time, with no product beyond the one that forms T', of which S' is a
-    view. Where S' L_b' alone is nonzero, its worst entry is the max of
+    time, with no product beyond the one that forms S'[x, y, k, l]. Where
+    S' L_b' alone is nonzero, its worst entry is the max of
     |S'[x, y, (c, s), l]| over c and l. The max over l is taken once for
-    all shapes, over each run of d entries along the rows of |T'|, in T's
-    own layout, so no copy of S' is gathered.
+    all shapes, in place, so no copy of S' is gathered.
     """
     d = alg.dim
     if ch.dim_in != d or ch.dim_out != d:
         raise DimensionMismatch(f"channel dims ({ch.dim_in}, {ch.dim_out}) vs algebra dim {d}")
     u = alg.basis_change
-    # T'[(x, k), (y, l)] of U K_a U^dag is S'[(x, y), (k, l)], viewed as S'[x, y, k, l]
-    t = _kraus_product(u @ ch.kraus @ u.conj().T)
-    s = t.reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    # max_l |S'[x, y, k, l]|, read along T's rows and indexed [x, k, y]
-    col_max = np.abs(t).reshape(d, d, d, d).max(axis=3)
+    # S'[x, y, k, l] of the stack U K_a U^dag, and max_l |S'[x, y, k, l]|
+    s = _kraus_product(u @ ch.kraus @ u.conj().T)
+    col_max = np.abs(s).max(axis=3)
 
     fixes = bimodule = 0.0
     for m, n, pos in alg._shape_groups:
@@ -241,9 +235,9 @@ def verify_condexp_axioms(
         both = s[x[..., None], y[..., None], pos_t[:, None, :, None, :]]
         mixed = ps[j[..., None], r[:, None, None], r[:, None], pos_t[:, :, None, :]]
         worst = float(np.abs(both[:, :, :, None] - mixed[:, None, None]).max())
-        # S' L_b' alone, at every other row of the columns ((c, t), l): [x, j, s, y]
-        lhs = col_max[:, pos].max(axis=2)
-        lhs[x, j[..., None], r[:, None], y] = 0.0
+        # S' L_b' alone, at every other row of the columns ((c, t), l): [x, y, j, s]
+        lhs = col_max[:, :, pos].max(axis=3)
+        lhs[x, y, j[..., None], r[:, None]] = 0.0
         # L_b' P'S' alone, at every other column of its rows: [j, t, k]
         rhs = np.abs(ps).max(axis=(2, 4))
         rhs[j, r[:, None], pos_t] = 0.0

@@ -52,11 +52,23 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def _size(x, what: str) -> int:
-    """x as an int, if it is a Python or numpy integer and not a bool."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return int(x)
-    raise ValueError(f"{what} must be integers, got {x!r}")
+def _size(x, what: str, positive: bool = False) -> int:
+    """x as an int if it is a Python or numpy integer, not a bool, and with positive >= 1."""
+    if not isinstance(x, (int, np.integer)) or isinstance(x, bool):
+        raise ValueError(f"{what} must be integers, got {x!r}")
+    if positive and x < 1:
+        raise ValueError(f"{what} must be positive, got {x}")
+    return int(x)
+
+
+def _complex_array(x, what: str) -> np.ndarray:
+    """x as a new row-major complex128 array: ragged x or a non-number raises, naming what."""
+    try:
+        return np.array(x, dtype=np.complex128, order="C")
+    except (TypeError, ValueError) as exc:
+        if any(isinstance(c, (list, tuple, np.ndarray)) for c in np.array(x, dtype=object).flat):
+            raise DimensionMismatch(f"{what} must share one shape: {exc}") from exc
+        raise ValueError(f"{what} must hold only numbers: {exc}") from exc
 
 
 def _row_norms(a) -> np.ndarray:
@@ -97,6 +109,7 @@ def partial_trace(x, dim_left: int, dim_right: int, side: str) -> CMatrix:
     side : {"left", "right"}
         Which factor to trace out; the output lives on the other one.
     """
+    dim_left, dim_right = (_size(n, "dimensions", positive=True) for n in (dim_left, dim_right))
     x = as_cmatrix(x)
     d = dim_left * dim_right
     if x.shape != (d, d):
@@ -141,14 +154,14 @@ def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff ``m`` is Hermitian within atol and the smallest ``eigvalsh``
-    of its Hermitian part (m + m^dag)/2 is >= -atol; a 0 x 0 matrix is PSD."""
+    of its Hermitian part m/2 + m^dag/2 is >= -atol; a 0 x 0 matrix is PSD."""
     m = as_cmatrix(m)  # the one conversion and finiteness scan
     if m.shape[0] != m.shape[1]:
         return False
     adj = m.conj().T
     if max_abs_diff(m, adj) > tol.atol:
         return False
-    evals = np.linalg.eigvalsh((m + adj) / 2)
+    evals = np.linalg.eigvalsh(m / 2 + adj / 2)  # halved first, so finite for finite m
     return bool(evals.min() >= -tol.atol) if evals.size else True
 
 

@@ -11,7 +11,7 @@ reference_axioms is the axiom check in computational coordinates with
 batched small products and positivity from the full Choi matrix.
 reference_gathered_axioms is the block-coordinate axiom check that reads
 the off-support maxima of S' L_b' from a gathered copy of S', against
-which the library's reading of them from T' in place is required to give
+which the library's reading of them from S' in place is required to give
 the same report bit for bit.
 compose, convex_mix, depolarizing and kraus_from_choi are rebuilt as the
 Python lists of Kraus operators, one operator at a time, that the
@@ -42,7 +42,10 @@ smallest eigenvalue alone, against which the library's is_psd is
 required to give the same verdict at eigenvalues next to -atol, and
 reference_choi_from_superoperator is the Choi matrix as a reshuffle of the
 superoperator, against which the one-reshuffle Choi matrix is required to
-agree bit for bit. tensor, hs_inner, matrices_equal and vec are
+agree bit for bit. reference_kraus_product is the product of a Kraus stack
+with its conjugate in the (i, k), (j, l) layout, from which the
+superoperator, the Choi matrix and the channel-equality verdict are
+required to follow bit for bit. tensor, hs_inner, matrices_equal and vec are
 assertion helpers that the library itself has no use for.
 """
 
@@ -183,6 +186,14 @@ def reference_choi_from_superoperator(ch):
     return s.transpose(2, 0, 3, 1).reshape(ch.dim_in * ch.dim_out, -1)
 
 
+def reference_kraus_product(kraus, right=None):
+    """T[(i, k), (j, l)] = sum_a K_a[i, k] conj(R_a[j, l]) for a (K, d_out,
+    d_in) stack K and R, K itself or a slab K[:, lo:hi] of its rows, as one
+    (d_out d_in) x (n_j d_in) product."""
+    right = kraus if right is None else right
+    return kraus.reshape(len(kraus), -1).T @ right.conj().reshape(len(kraus), -1)
+
+
 def reference_is_psd(m, tol=DEFAULT_TOL):
     """Hermitian within atol and no eigenvalue of the Hermitian part below
     -atol, from eigvalsh alone."""
@@ -254,7 +265,7 @@ def reference_gathered_axioms(ch, alg, tol=DEFAULT_TOL):
     support of L_b' P'S' taken over s[:, :, pos], a gathered d^4 copy of S'
     per shape group, indexed [x, y, j, a, s, l]."""
     d, u = alg.dim, alg.basis_change
-    s = _kraus_product(u @ ch.kraus @ u.conj().T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    s = _kraus_product(u @ ch.kraus @ u.conj().T)
     fixes = bimodule = 0.0
     for m, n, pos in alg._shape_groups:
         pos_t = pos.transpose(0, 2, 1)

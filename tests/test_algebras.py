@@ -81,6 +81,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="must be integers"):
             diagonal_algebra(d)
 
+    @pytest.mark.parametrize("blocks", [None, "ab", ((1,),), ((1, 2, 3),), 5, [(1, 1), 2]])
+    def test_rejects_blocks_that_are_not_pairs(self, blocks):
+        with pytest.raises(ValueError, match="blocks must be"):
+            AlgebraSpec(blocks)
+
     def test_accepts_numpy_integer_sizes(self):
         alg = AlgebraSpec(((np.int64(2), np.int32(1)),), np.uint8(1))
         assert alg.blocks == ((2, 1),) and alg.zero_dim == 1 and alg.dim == 3

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqclab import channels
@@ -31,7 +31,7 @@ from pqclab.errors import (
     NotUnitary,
 )
 from pqclab.io import channel_to_spec
-from pqclab.linalg import is_psd, max_abs_diff
+from pqclab.linalg import ToleranceConfig, is_psd, max_abs_diff
 from pqclab.rand import haar_unitary, random_density, random_ru_channel
 from reference import (
     isometry_channel,
@@ -42,6 +42,7 @@ from reference import (
     reference_convex_mix,
     reference_depolarizing,
     reference_kraus_from_choi,
+    reference_kraus_product,
     reference_superoperator,
     vec,
 )
@@ -76,6 +77,12 @@ class TestConstruction:
     def test_rejects_mismatched_kraus_shapes(self):
         with pytest.raises(DimensionMismatch):
             from_kraus([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("kraus", [[[["a"]]], [[[1, "x"], [0, 1]]], [[[{}]]]])
+    def test_rejects_entries_that_are_not_numbers(self, kraus):
+        # a ValueError, not the DimensionMismatch of a ragged stack
+        with pytest.raises(ValueError, match="kraus must hold only numbers"):
+            Channel(kraus)
 
     def test_random_unitary_rejects_bad_probs(self):
         with pytest.raises(NotAProbabilityDistribution):
@@ -355,12 +362,59 @@ class TestChoi:
         assert not channels_equal(DEPHASING, depolarizing(1.0, 3))
         assert not channels_equal(DEPHASING, isometry_channel(2, 3, 1, np.random.default_rng(3)))
 
+    @pytest.mark.parametrize("j", [-np.eye(4), np.zeros((4, 4))], ids=["negative", "zero"])
+    def test_kraus_from_choi_with_no_eigenvalue_above_atol_is_not_trace_preserving(self, j):
+        with pytest.raises(NotTracePreserving, match="no eigenvalue"):
+            kraus_from_choi(j, 2, 2)
+
     def test_kraus_from_choi_drops_null_directions(self):
         rebuilt = kraus_from_choi(choi(DEPHASING), 2, 2)
         assert len(rebuilt.kraus) == 2
 
 
 class TestSuperoperator:
+    # per_slab 0 keeps the default budget, one slab for every stack drawn;
+    # otherwise the budget holds per_slab output indices j, so a slab has
+    # that many and the last one what is left
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(2, 3, 2, 1, 0)
+    @example(3, 5, 3, 2, 1)
+    def test_superoperator_choi_and_equality_read_the_reference_product_bit_for_bit(
+        self, k, d_out, d_in, per_slab, seed
+    ):
+        rng = np.random.default_rng(seed)
+        ks = rng.standard_normal((k, d_out, d_in)) + 1j * rng.standard_normal((k, d_out, d_in))
+        a, b = Channel(ks), Channel(ks + 1e-9 * rng.standard_normal(ks.shape))
+        height = per_slab or d_out
+        slabs = [
+            reference_kraus_product(ks, ks[:, lo : lo + height])
+            .reshape(d_out, d_in, -1, d_in)
+            .transpose(0, 2, 1, 3)
+            for lo in range(0, d_out, height)
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            if per_slab:
+                mp.setattr(channels, "_CHUNK_BYTES", per_slab * 16 * d_in * (d_out * d_in + k))
+            s = superoperator(a)
+        assert np.array_equal(s, np.concatenate(slabs, axis=1).reshape(d_out**2, d_in**2))
+
+        def reference_choi(ch):
+            t = reference_kraus_product(ch.kraus).reshape(d_out, d_in, d_out, d_in)
+            return t.transpose(1, 0, 3, 2).reshape(d_in * d_out, -1)
+
+        assert np.array_equal(choi(a), reference_choi(a))
+        # the verdict flips exactly at the reference distance
+        gap = max_abs_diff(reference_choi(a), reference_choi(b))
+        assert channels_equal(a, b, ToleranceConfig(gap))
+        assert not channels_equal(a, b, ToleranceConfig(np.nextafter(gap, 0)))
+
     @given(st.integers(0, 10**6))
     def test_matches_direct_action(self, seed):
         rng = np.random.default_rng(seed)

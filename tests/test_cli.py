@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pqclab
@@ -856,9 +856,38 @@ def invocations(draw):
     return argv, files
 
 
+# documents with entries near the float max, which overflow in the checks
+# that reject them; each of the three must exit 1 with one stderr line
+HUGE_INVOCATIONS = [
+    (
+        ["check-pqc", "{dir}/doc0.json", "{dir}/doc1.json", "{dir}/doc2.json"],
+        {
+            "doc0.json": b'{"kind": "kraus", "kraus": [[[1]]]}',
+            "doc1.json": b'{"states": [[1]]}',
+            "doc2.json": b'{"rho0": [[1e308]]}',
+        },
+    ),
+    (
+        ["check-pqc", "{dir}/doc0.json", "{dir}/doc1.json", "{dir}/doc2.json"],
+        {
+            "doc0.json": b'{"kind": "kraus", "kraus": [[[1e200, 1e200], [1e200, -1e200]]]}',
+            "doc1.json": json.dumps(STATES_OK[1]).encode(),
+            "doc2.json": json.dumps(RHO0_OK[0]).encode(),
+        },
+    ),
+    (
+        ["condexp", "{dir}/doc0.json", "--verify"],
+        {"doc0.json": b'{"blocks": [[1, 1], [1, 1]], "basis_change": [[1e200, 0], [0, 1e200]]}'},
+    ),
+]
+
+
 class TestExitContract:
     @settings(max_examples=300, deadline=None)
     @given(invocations())
+    @example(HUGE_INVOCATIONS[0])
+    @example(HUGE_INVOCATIONS[1])
+    @example(HUGE_INVOCATIONS[2])
     def test_any_input_exits_0_1_or_2_with_strict_json_or_nothing(self, invocation):
         argv, files = invocation
         out, err = io.StringIO(), io.StringIO()
@@ -872,4 +901,21 @@ class TestExitContract:
             json.loads(out.getvalue(), parse_constant=_reject_constant)
         else:
             assert out.getvalue() == ""
+            # one error line, as docs/file_formats.md says
             assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+    @pytest.mark.parametrize("invocation", HUGE_INVOCATIONS, ids=["rho0", "kraus", "basis-change"])
+    def test_entries_near_the_float_max_exit_1_with_one_error_line(self, tmp_path, invocation):
+        argv, files = invocation
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        argv = [a.format(dir=tmp_path) for a in argv]
+        # a child process that makes RuntimeWarning an error, as this
+        # suite's filterwarnings does in-process
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "pqclab.cli", *argv],
+            capture_output=True, text=True, env=_child_env(), check=False,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: bad ") and proc.stderr.count("\n") == 1

@@ -681,6 +681,12 @@ class TestIsPqc:
         with pytest.raises(error):
             PQCInstance(states, E_DELTA, MIXED2)
 
+    @pytest.mark.parametrize("states", [[["x", 1]], [[{}, 0]], [[1, 0], [0, "y"]]])
+    def test_instance_rejects_entries_that_are_not_numbers(self, states):
+        # a ValueError, not the DimensionMismatch of states of unequal length
+        with pytest.raises(ValueError, match="states must hold only numbers"):
+            PQCInstance(states, E_DELTA, MIXED2)
+
     def test_instance_rejects_a_target_of_the_wrong_dimension(self):
         with pytest.raises(DimensionMismatch, match="target dimension"):
             PQCInstance((np.array([1.0, 0.0]),), E_DELTA, DensityOperator(np.eye(3) / 3))

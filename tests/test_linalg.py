@@ -81,6 +81,20 @@ class TestPartialTrace:
         with pytest.raises(Exception):
             partial_trace(np.eye(4), 3, 2, "left")
 
+    @pytest.mark.parametrize(
+        "dims, message",
+        [
+            ((2.0, 2.0), "must be integers"),
+            ((2, "2"), "must be integers"),
+            ((True, 4), "must be integers"),
+            ((-1, -2), "must be positive"),
+            ((0, 4), "must be positive"),
+        ],
+    )
+    def test_rejects_dimensions_that_are_not_positive_integers(self, dims, message):
+        with pytest.raises(ValueError, match=f"dimensions {message}"):
+            partial_trace(np.eye(4), *dims, "left")
+
     @pytest.mark.parametrize("side", ["middle", "Left", None])
     def test_rejects_a_bad_side(self, side):
         with pytest.raises(ValueError, match="side must be"):
@@ -152,6 +166,12 @@ class TestHermitianPsd:
     def test_non_square_is_not_hermitian(self):
         assert not is_hermitian(np.ones((2, 3)))
         assert not is_hermitian(np.zeros((3, 1)))
+
+    def test_entries_near_the_float_max_keep_their_verdict(self):
+        # the Hermitian part is taken without overflow, so no warning and no NaN
+        assert is_psd(1e308 * np.eye(2))
+        assert not is_psd(-1e308 * np.eye(2))
+        assert is_psd(np.array([[1e308, 1e308], [1e308, 1e308]]))
 
     def test_non_square_is_not_psd(self):
         assert not is_psd(np.ones((2, 3)))
