@@ -33,15 +33,15 @@ from .errors import (
     Infeasible,
     NoTraceVectors,
     NotUnitalAlgebra,
-    NotUnitVector,
     Rho0NotInAlgebra,
 )
 from .linalg import (
     DEFAULT_TOL,
     CMatrix,
     ToleranceConfig,
-    _row_norms,
+    _numeric,
     _size,
+    _unit_rows,
     as_cmatrix,
     freeze,
     max_abs_diff,
@@ -231,29 +231,15 @@ def _state_in_algebra(alg: AlgebraSpec, rho0, tol: ToleranceConfig) -> DensityOp
     return state
 
 
-def _as_vector(v, alg: AlgebraSpec, tol: ToleranceConfig | None = None) -> np.ndarray:
-    """v flattened, of the algebra's dimension and finite; with tol given, of
-    unit norm within atol first, so that NaN there raises NotUnitVector."""
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if v.size != alg.dim:
-        raise DimensionMismatch(f"vector length {v.size} vs algebra dimension {alg.dim}")
-    if tol is not None:
-        nrm = _row_norms(v[None])[0]
-        if not (abs(nrm - 1.0) <= tol.atol):
-            raise NotUnitVector(f"vector norm {nrm} is not 1 within atol")
-    if not np.isfinite(v).all():
-        raise ValueError("vector has NaN or Inf entries")
-    return v
-
-
 def is_trace_vector(v, alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL) -> TraceVectorReport:
     """Check <v|a|v> = trace(rho0 a) over the canonical basis of the algebra.
 
     The violation is the worst entry of V^dag V - W^T over all blocks.
-    Raises NotUnitVector unless ||v|| = 1 within atol; rho0 = 1_n/n gives
-    the plain trace-vector condition.
+    v, flattened, is admitted as PQCInstance admits a state, by
+    linalg._unit_rows, so NotUnitVector is raised unless ||v|| = 1 within
+    atol; rho0 = 1_n/n gives the plain trace-vector condition.
     """
-    v = _as_vector(v, alg, tol)
+    v = _unit_rows([v], "vector", alg.dim, tol)[0]  # v as the one row
     state = _as_state(rho0, alg.dim, tol)
     u = alg.basis_change
     w, rho_t = u @ v, (u @ state.mat @ u.conj().T).T
@@ -270,7 +256,10 @@ def is_separating(v, alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL) -> bo
     singular value of each block's V_j n_j times, so every V_j needs n_j
     singular values above atol * max(s_max, 1), s_max the largest of all.
     """
-    w = alg.basis_change @ _as_vector(v, alg)
+    v = _numeric(v, "vector").reshape(-1)
+    if v.size != alg.dim:
+        raise DimensionMismatch(f"vector must have length {alg.dim}, got {v.size}")
+    w = alg.basis_change @ v
     svals = [(n, np.linalg.svd(w[pos], compute_uv=False)) for _, n, pos in alg._shape_groups]
     cutoff = tol.atol * max(max(float(s.max()) for _, s in svals), 1.0)
     return all(s.shape[1] == n and (s > cutoff).all() for n, s in svals)

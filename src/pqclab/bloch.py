@@ -27,6 +27,7 @@ from .errors import BlochVectorTooLong, DimensionMismatch, NotUnital
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _numeric,
     _size,
     as_cmatrix,
     freeze,
@@ -69,11 +70,9 @@ class BlochVector:
     r: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
+        r = _numeric(self.r, "Bloch vector", real=True)
         if r.shape != (3,):
             raise DimensionMismatch(f"Bloch vector must have 3 components, got {r.shape}")
-        if not np.isfinite(r).all():
-            raise ValueError("Bloch vector contains NaN or Inf entries")
         object.__setattr__(self, "r", freeze(r))
 
     @property
@@ -94,12 +93,9 @@ class PauliTransfer:
     tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=np.complex128)
-        t = np.asarray(self.t, dtype=np.complex128)
+        T, t = _numeric(self.T, "T"), _numeric(self.t, "t")
         if T.shape != (3, 3) or t.shape != (3,):
             raise DimensionMismatch(f"expected 3x3 T and 3-vector t, got {T.shape}, {t.shape}")
-        if not (np.isfinite(T).all() and np.isfinite(t).all()):
-            raise ValueError("transfer parts contain NaN or Inf entries")
         if np.abs(T.imag).max() > self.tol.atol or np.abs(t.imag).max() > self.tol.atol:
             raise ValueError("transfer parts have imaginary residue beyond atol")
         object.__setattr__(self, "T", freeze(T.real))
@@ -130,14 +126,14 @@ class AntipodalPair(PrivateStateSet):
     nullity = 1
 
     def __post_init__(self):
-        a, b = (np.asarray(s, dtype=np.complex128) for s in self.states)
-        if a.shape != (2,) or b.shape != (2,):
-            raise DimensionMismatch("antipodal states must be qubit kets")
-        if not all(abs(np.linalg.norm(s) - 1.0) <= self.tol.atol for s in (a, b)):
+        pair = _numeric(self.states, "antipodal states")
+        if pair.shape != (2, 2):
+            raise DimensionMismatch("antipodal states must be two qubit kets")
+        if not all(abs(np.linalg.norm(s) - 1.0) <= self.tol.atol for s in pair):
             raise ValueError("antipodal states must have unit norm within atol")
-        if not (abs(np.vdot(a, b)) <= self.tol.atol):
+        if not (abs(np.vdot(*pair)) <= self.tol.atol):
             raise ValueError("antipodal states must be orthogonal within atol")
-        object.__setattr__(self, "states", (freeze(a), freeze(b)))
+        object.__setattr__(self, "states", tuple(freeze(pair)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +146,7 @@ class GreatCircle(PrivateStateSet):
     nullity = 2
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
+        n = _numeric(self.normal, "normal", real=True)
         if n.shape != (3,):
             raise DimensionMismatch("normal must be a real 3-vector")
         if not (abs(np.linalg.norm(n) - 1.0) <= self.tol.atol):
@@ -258,8 +254,7 @@ def classify(ch: Channel, tol: ToleranceConfig = DEFAULT_TOL) -> PrivateStateSet
         return Empty()
     if len(null) == 1:
         v = _lex_sign(null[0] / np.linalg.norm(null[0]), tol.atol)
-        plus, minus = _kets(np.stack([v, -v]), tol)
-        return AntipodalPair((plus, minus), tol)
+        return AntipodalPair(_kets(np.stack([v, -v]), tol), tol)
     if len(null) == 2:
         n = _cross(null[0], null[1])
         n = _lex_sign(n / np.linalg.norm(n), tol.atol)

@@ -24,8 +24,8 @@ from .linalg import (
     DEFAULT_TOL,
     CMatrix,
     ToleranceConfig,
-    _complex_array,
     _is_real,
+    _numeric,
     _size,
     as_cmatrix,
     freeze,
@@ -87,11 +87,10 @@ class Channel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        ks = _complex_array(self.kraus, "kraus")  # a row-major copy
+        ks = _numeric(self.kraus, "kraus")
+        ks = ks if isinstance(self.kraus, (list, tuple)) else ks.copy()  # held only here
         if ks.ndim != 3 or ks.size == 0:
             raise DimensionMismatch(f"need a nonempty (K, d_out, d_in) stack, got shape {ks.shape}")
-        if not np.all(np.isfinite(ks)):
-            raise ValueError("Kraus operators contain NaN or Inf entries")
         ks.setflags(write=False)
         object.__setattr__(self, "kraus", ks)
 
@@ -123,14 +122,12 @@ class Channel:
         dim_out^2 x dim_in^2 entries whatever the number of Kraus operators,
         which later calls reuse.
         """
-        x = np.asarray(x, dtype=np.complex128)
+        x = _numeric(x, "matrix")
         d = self.dim_in
         if x.ndim not in (2, 3) or x.shape[-2:] != (d, d):
             raise DimensionMismatch(
                 f"channel expects {d}x{d} input or a stack of them, got {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
-            raise ValueError("matrix contains NaN or Inf entries")
         return _apply(self, x)
 
 
@@ -167,7 +164,7 @@ def from_kraus(kraus, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
 
 def random_unitary(probs, unitaries, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
     """Convex mixture of unitary conjugations, Kraus operators sqrt(p_i) U_i."""
-    p = np.asarray(probs, dtype=float)
+    p = _numeric(probs, "probs", real=True)
     us = [as_cmatrix(u) for u in unitaries]
     if p.ndim != 1 or len(us) != p.size:
         raise DimensionMismatch(f"{p.size} probabilities vs {len(us)} unitaries")
@@ -206,7 +203,7 @@ def depolarizing(p: float, d: int) -> Channel:
 
 def convex_mix(weights, channels, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
     """Probabilistic mixture of channels with matching dimensions."""
-    w = np.asarray(weights, dtype=float)
+    w = _numeric(weights, "weights", real=True)
     chans = list(channels)
     if w.ndim != 1 or w.size != len(chans):
         raise DimensionMismatch(f"{w.size} weights vs {len(chans)} channels")

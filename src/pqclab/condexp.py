@@ -35,8 +35,8 @@ from .channels import (
     _kraus_product,
     from_kraus,
 )
-from .errors import DimensionMismatch, NotUnitalAlgebra, NotUnitVector
-from .linalg import DEFAULT_TOL, ToleranceConfig, _complex_array, _row_norms
+from .errors import DimensionMismatch, NotUnitalAlgebra
+from .linalg import DEFAULT_TOL, ToleranceConfig, _unit_rows
 
 __all__ = [
     "PQCInstance",
@@ -56,9 +56,10 @@ class PQCInstance:
 
     The states are held as one read-only (N, dim_in) complex stack, one row
     per state in the order given, as a Channel holds one Kraus stack, and
-    is_pqc makes one Channel.apply_matrix call per chunk of its rows. Every
-    state must have the channel's input length and unit norm within atol.
-    A raw rho0 is validated as a DensityOperator at tol, as is_trace_vector
+    is_pqc makes one Channel.apply_matrix call per chunk of its rows. States
+    are admitted as is_trace_vector admits its vector, by linalg._unit_rows:
+    numbers only, the channel's input length, and unit norm within atol. A
+    raw rho0 is validated as a DensityOperator at tol, as is_trace_vector
     validates its target.
     """
 
@@ -68,18 +69,8 @@ class PQCInstance:
     tol: ToleranceConfig = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
-        states = _complex_array(self.states, "states")  # a copy of its own
-        if states.ndim == 0 or len(states) == 0:
-            raise ValueError("need at least one state")
-        states = states.reshape(len(states), -1)
-        if states.shape[1] != self.channel.dim_in:
-            raise DimensionMismatch(
-                f"state length {states.shape[1]} vs channel input {self.channel.dim_in}"
-            )
-        norms = _row_norms(states)
-        unit = np.abs(norms - 1.0) <= self.tol.atol  # False for a NaN norm
-        if not unit.all():
-            raise NotUnitVector(f"state norm {norms[~unit][0]} is not 1 within atol")
+        states = _unit_rows(self.states, "states", self.channel.dim_in, self.tol)
+        states = states if isinstance(self.states, (list, tuple)) else states.copy()
         rho0 = _as_density(self.rho0, self.tol)
         if rho0.dim != self.channel.dim_out:
             raise DimensionMismatch(

@@ -48,15 +48,13 @@ _NAMED_REGISTRY = {
 }
 NAMED_CHANNELS = tuple(_NAMED_REGISTRY)
 
-# Largest d a depolarizing or named channel document, or the sum of an
-# algebra document's blocks, may ask for; the cap keeps a hostile document
-# from requesting an unbounded allocation. In the library, a depolarizing
-# channel or a ((d,1),) algebra's conditional expectation has d^2 Kraus
-# operators of size d x d, and the axiom check builds d^2 x d^2
-# superoperators: d^4 complex entries each, 16 MB at d = 32. A channel that
-# has been applied (apply_matrix, is_pqc, transfer) also keeps its own
-# superoperator next to its Kraus stack: 16 MB more at d = 32, whatever the
-# number of Kraus operators. The CLI peaks far higher on such a document:
+# Largest d_in or d_out of a channel document of any kind, and largest sum
+# m*n + zero_dim of an algebra document, so that a few kilobytes of document
+# cannot ask for an unbounded allocation. A channel's superoperator, which
+# check-pqc forms and an applied channel keeps, and each d^2 x d^2
+# superoperator of the axiom check hold d^4 complex entries, 16 MB at d = 32,
+# whatever the number of Kraus operators; a depolarizing channel or a
+# ((d,1),) expectation has d^2 Kraus operators of d x d. The CLI peaks higher:
 # `condexp` on a Haar ((32,1),) algebra writes about 100 MB of JSON and
 # peaks near 610 MB RSS (430 MB with --format text), mostly while it
 # renders the report; ROADMAP.md's item on streaming the report targets that.
@@ -92,6 +90,14 @@ def _json_dim(x) -> int:
     if not 1 <= d <= MAX_CHANNEL_DIM:
         raise SpecFormatError(f"d must lie in 1..{MAX_CHANNEL_DIM}, got {d}")
     return d
+
+
+def _json_operator(obj) -> np.ndarray:
+    """A channel document's d_out x d_in operator, both at most MAX_CHANNEL_DIM."""
+    m = json_to_matrix(obj)
+    if max(m.shape) > MAX_CHANNEL_DIM:
+        raise SpecFormatError(f"operator sides must be at most {MAX_CHANNEL_DIM}, got {m.shape}")
+    return m
 
 
 def _json_to_complex(x) -> complex:
@@ -176,13 +182,13 @@ def channel_from_spec(obj: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
         mats = _require(obj, "kraus")
         if not isinstance(mats, list) or not mats:
             raise SpecFormatError("kraus must be a nonempty array of matrices")
-        return from_kraus([json_to_matrix(m) for m in mats], tol)
+        return from_kraus([_json_operator(m) for m in mats], tol)
     if kind == "random_unitary":
         probs = _require(obj, "probs")
         us = _require(obj, "unitaries")
         if not isinstance(probs, list) or not isinstance(us, list):
             raise SpecFormatError("random_unitary needs probs and unitaries arrays")
-        return random_unitary([_json_real(p) for p in probs], [json_to_matrix(u) for u in us], tol)
+        return random_unitary([_json_real(p) for p in probs], [_json_operator(u) for u in us], tol)
     if kind == "depolarizing":
         return depolarizing(_json_real(_require(obj, "p")), _json_dim(_require(obj, "d")))
     if kind == "condexp":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotUnitVector
 
 # Universal numeric carrier: a dense 2-D complex array, row-major.
 CMatrix = np.ndarray
@@ -61,32 +61,57 @@ def _size(x, what: str, positive: bool = False) -> int:
     return int(x)
 
 
-def _complex_array(x, what: str) -> np.ndarray:
-    """x as a new row-major complex128 array: ragged x or a non-number raises, naming what."""
+def _as_numbers(x, what: str, real: bool = False) -> np.ndarray:
+    """x by one np.asarray and one cast to complex128, or float64 if real. Ragged
+    x raises DimensionMismatch, and a dtype other than integer, float or (unless
+    real) complex, such as str, bytes, bool or object, ValueError, naming what."""
     try:
-        return np.array(x, dtype=np.complex128, order="C")
-    except (TypeError, ValueError) as exc:
-        if any(isinstance(c, (list, tuple, np.ndarray)) for c in np.array(x, dtype=object).flat):
-            raise DimensionMismatch(f"{what} must share one shape: {exc}") from exc
-        raise ValueError(f"{what} must hold only numbers: {exc}") from exc
+        a = np.asarray(x)
+    except ValueError as exc:  # numpy refuses nested sequences of unequal lengths
+        raise DimensionMismatch(f"{what} must share one shape: {exc}") from exc
+    if a.dtype.kind not in ("iuf" if real else "iufc"):
+        raise ValueError(f"{what} must hold only {'real ' * real}numbers, got dtype {a.dtype}")
+    return a.astype(np.float64 if real else np.complex128, copy=False)
+
+
+def _numeric(x, what: str, real: bool = False) -> np.ndarray:
+    """The intake rule for every array a caller passes in: :func:`_as_numbers`,
+    then ValueError naming what on NaN or Inf. The result may be x itself."""
+    a = _as_numbers(x, what, real)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} contains NaN or Inf entries")
+    return a
 
 
 def _row_norms(a) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D complex array, summed over its
-    float64 view (re_0, im_0, re_1, ...), so a row gets the same bits in a
-    stack as on its own. Both privacy routes, is_trace_vector and
-    PQCInstance, measure unit norm with it and so admit the same vectors."""
+    """Euclidean norm of each row of a 2-D complex array, summed over its float64
+    view (re_0, im_0, re_1, ...): a row gets the same bits in a stack as alone."""
     parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
 
+def _unit_rows(x, what: str, width: int, tol: ToleranceConfig) -> np.ndarray:
+    """x as a complex (N >= 1, width) stack, a row per index of its first axis, each
+    of unit :func:`_row_norms` norm within atol (NaN or Inf raise NotUnitVector):
+    the one rule by which both privacy routes, is_trace_vector and PQCInstance, admit vectors."""
+    rows = _as_numbers(x, what)
+    if rows.ndim == 0 or len(rows) == 0:
+        raise ValueError(f"{what} must not be empty")
+    rows = rows.reshape(len(rows), -1)
+    if rows.shape[1] != width:
+        raise DimensionMismatch(f"{what} must have length {width}, got {rows.shape[1]}")
+    norms = _row_norms(rows)
+    unit = np.abs(norms - 1.0) <= tol.atol  # False for a NaN norm
+    if not unit.all():
+        raise NotUnitVector(f"{what} must have norm 1 within atol, got {norms[~unit][0]}")
+    return rows
+
+
 def as_cmatrix(a) -> CMatrix:
-    """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
+    """a as a 2-D complex128 array by :func:`_numeric`; the result may be a itself."""
+    m = _numeric(a, "matrix")
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN or Inf entries")
     return m
 
 
@@ -129,16 +154,12 @@ def nullspace_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
 
     Singular values below ``atol * max(s_max, 1)`` count as zero; the
     floor at 1 keeps the cutoff meaningful for near-zero matrices.
-    Real input yields real basis vectors.
+    Input without imaginary parts yields real basis vectors.
     """
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf entries")
+    m = as_cmatrix(m)
     if m.size == 0:
         return []
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = np.linalg.svd(m if m.imag.any() else m.real)
     cutoff = tol.atol * max(float(s[0]), 1.0)
     ncols = m.shape[1]
     rank = int(np.sum(s > cutoff))
@@ -166,9 +187,8 @@ def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def max_abs_diff(a, b) -> float:
-    """Entrywise max-modulus difference, the package's matrix distance."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    """Entrywise max-modulus difference, the package's matrix distance (NaN on NaN)."""
+    a, b = _as_numbers(a, "matrices"), _as_numbers(b, "matrices")
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     if a.size == 0:

@@ -734,6 +734,27 @@ class TestMalformedInput:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "kraus", "kraus": [np.eye(MAX_CHANNEL_DIM + 1).tolist()]},
+            {"kind": "kraus", "kraus": [[[0.0] * (MAX_CHANNEL_DIM + 1)]]},
+            {"kind": "random_unitary", "probs": [1.0],
+             "unitaries": [np.eye(MAX_CHANNEL_DIM + 1).tolist()]},
+        ],
+        ids=["kraus-33x33", "kraus-1x33", "random-unitary-33x33"],
+    )
+    def test_channel_operators_over_the_cap_exit_1_with_one_error_line(
+        self, capsys, write_doc, doc
+    ):
+        states = {"states": [[1.0] + [0.0] * MAX_CHANNEL_DIM]}
+        rho0 = {"rho0": matrix_to_json(np.eye(1))}
+        args = [write_doc(n, d) for n, d in (("c.json", doc), ("s.json", states), ("r.json", rho0))]
+        code, out, err = run_cli(capsys, "check-pqc", *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad channel file") and err.count("\n") == 1
+        assert f"at most {MAX_CHANNEL_DIM}" in err
+
+    @pytest.mark.parametrize(
         "doc, message",
         [
             ({"blocks": [[-3, -11]]}, "block sizes must be positive"),

@@ -252,8 +252,8 @@ class TestAxioms:
         assert report.positive and report.bimodule > 1e-6 and not report.passed
 
     def test_d32_diagonal_check_holds_no_copy_of_the_superoperator(self):
-        # T' alone is d^4 complex entries, 16 MiB; a gathered copy of S' and
-        # its absolute values would add 24 MiB more
+        # the Kraus product S' alone is d^4 complex entries, 16 MiB; a
+        # gathered copy of S' and its absolute values would add 24 MiB more
         alg = _haar_algebra(((1, 1),) * 32, 0, np.random.default_rng(352))
         ch = condexp_channel(alg)
         tracemalloc.start()

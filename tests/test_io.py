@@ -196,6 +196,32 @@ class TestChannelSpecs:
         assert built == [cap, cap]
         assert channel_from_spec({"kind": "named", "name": "identity", "d": cap}).dim_in == cap
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "kraus", "kraus": [np.eye(MAX_CHANNEL_DIM + 1).tolist()]},
+            {"kind": "kraus", "kraus": [[[0.0] * (MAX_CHANNEL_DIM + 1)]]},
+            {"kind": "kraus", "kraus": [[[1.0]], [[0.0]] * (MAX_CHANNEL_DIM + 1)]},
+            {"kind": "random_unitary", "probs": [1.0],
+             "unitaries": [np.eye(MAX_CHANNEL_DIM + 1).tolist()]},
+        ],
+        ids=["kraus-33x33", "kraus-1x33", "kraus-33x1", "random-unitary-33x33"],
+    )
+    def test_operator_outside_the_cap_is_rejected_before_building(self, doc, monkeypatch):
+        def build(*args):
+            raise AssertionError("a channel was built")
+
+        monkeypatch.setattr(pqclab_io, "from_kraus", build)
+        monkeypatch.setattr(pqclab_io, "random_unitary", build)
+        with pytest.raises(SpecFormatError, match=f"at most {MAX_CHANNEL_DIM}"):
+            channel_from_spec(doc)
+
+    def test_operator_at_the_cap_is_accepted(self):
+        eye = np.eye(MAX_CHANNEL_DIM).tolist()
+        kraus = channel_from_spec({"kind": "kraus", "kraus": [eye]})
+        mixed = channel_from_spec({"kind": "random_unitary", "probs": [1.0], "unitaries": [eye]})
+        assert kraus.dim_in == kraus.dim_out == mixed.dim_in == mixed.dim_out == MAX_CHANNEL_DIM
+
     def test_named_registry_is_stable(self):
         assert NAMED_CHANNELS == ("identity", "completely_depolarizing", "dephasing_z", "frame_n2")
 
