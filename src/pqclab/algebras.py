@@ -40,6 +40,7 @@ from .linalg import (
     CMatrix,
     ToleranceConfig,
     _numeric,
+    _psd_kept,
     _size,
     _unit_rows,
     as_cmatrix,
@@ -251,18 +252,17 @@ def is_trace_vector(v, alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TO
 
 
 def is_separating(v, alg: AlgebraSpec, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff a |v> = 0 forces a = 0 within the algebra, tested as full
-    column rank of the stacked images (basis element) |v>. Those repeat each
-    singular value of each block's V_j n_j times, so every V_j needs n_j
-    singular values above atol * max(s_max, 1), s_max the largest of all.
-    """
+    """True iff a |v> = 0 forces a = 0 within the algebra: every block's V_j
+    has rank n_j, counted by linalg._psd_kept on the eigenvalues of V_j^dag V_j
+    (its squared singular values) at scale ||v||^2, the units in which
+    trace_vector_wrt cuts W. The zero vector is not separating."""
     v = _numeric(v, "vector").reshape(-1)
     if v.size != alg.dim:
         raise DimensionMismatch(f"vector must have length {alg.dim}, got {v.size}")
-    w = alg.basis_change @ v
+    v = v / (np.abs(v).max() or 1.0)  # so that the squares below neither overflow nor underflow
+    w, scale = alg.basis_change @ v, np.vdot(v, v).real
     svals = [(n, np.linalg.svd(w[pos], compute_uv=False)) for _, n, pos in alg._shape_groups]
-    cutoff = tol.atol * max(max(float(s.max()) for _, s in svals), 1.0)
-    return all(s.shape[1] == n and (s > cutoff).all() for n, s in svals)
+    return all(s.shape[1] == n and _psd_kept(s**2, tol, scale).all() for n, s in svals)
 
 
 def has_trace_vector(alg: AlgebraSpec) -> bool:
@@ -323,9 +323,9 @@ def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL)
     first n_i rows of V are the PSD square root of W^T, which does not
     depend on the eigenbasis a degenerate weight leaves to rounding, so v is
     continuous in U and rho0; where m_i < n_i they are the rank rows
-    sqrt(lam_a) conj(eigenvector a). Ranks count eigenvalues above atol,
-    which also cut the square root; a block weight of rank above m_i is
-    infeasible, and so is rank 0 in every block.
+    sqrt(lam_a) conj(eigenvector a). Ranks count eigenvalues above atol by
+    linalg._psd_kept, as is_separating does, and cut the square root; a block
+    weight of rank above m_i is infeasible, and so is rank 0 in every block.
     """
     if not alg.is_unital:
         raise NotUnitalAlgebra("trace vectors with respect to a state require a unital algebra")
@@ -337,7 +337,7 @@ def trace_vector_wrt(alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TOL)
         weight = _block_sums(rho, pos)  # = m * (block weight of rho0), [j, s, t]
         lam, vecs = np.linalg.eigh((weight.transpose(0, 2, 1) + weight.conj()) / 2)
         lam, vecs = lam[:, ::-1], vecs[:, :, ::-1]
-        kept = lam > tol.atol
+        kept = _psd_kept(lam, tol)
         rank = int(kept.sum(axis=1).max())
         if rank > m:
             raise Infeasible(f"a ({m}, {n}) block weight has rank {rank} above multiplicity {m}")

@@ -26,6 +26,7 @@ from .linalg import (
     ToleranceConfig,
     _is_real,
     _numeric,
+    _psd_kept,
     _size,
     as_cmatrix,
     freeze,
@@ -239,15 +240,20 @@ def choi(ch: Channel) -> CMatrix:
 def kraus_from_choi(j, dim_in: int, dim_out: int, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
     """Extract a minimal Kraus stack from a Choi matrix via eigendecomposition.
 
-    Eigenvalues below atol are dropped; the result is re-validated through
-    from_kraus, so a non-CP or non-TP input fails loudly.
+    j must be PSD by is_psd's rule, Hermitian within atol with no eigenvalue
+    below -atol, or ValueError is raised, as DensityOperator does. The
+    eigenvalues of its Hermitian part that linalg._psd_kept cuts, those at or
+    below atol, are dropped; the result is re-validated through from_kraus,
+    so an input that is not trace preserving raises NotTracePreserving.
     """
     dim_in, dim_out = (_size(n, "dim_in and dim_out", positive=True) for n in (dim_in, dim_out))
     j = as_cmatrix(j)
     if j.shape != (dim_in * dim_out, dim_in * dim_out):
         raise DimensionMismatch(f"Choi matrix shape {j.shape} vs dims ({dim_in}, {dim_out})")
-    evals, evecs = np.linalg.eigh(j / 2 + j.conj().T / 2)  # halved first, as in is_psd
-    keep = evals > tol.atol
+    if not is_psd(j, tol):
+        raise ValueError("Choi matrix must be Hermitian PSD within atol")
+    evals, evecs = np.linalg.eigh(j / 2 + j.conj().T / 2)  # the Hermitian part is_psd tests
+    keep = _psd_kept(evals, tol)
     if not keep.any():  # a CPTP map's Choi matrix has trace dim_in
         raise NotTracePreserving("no eigenvalue of the Choi matrix exceeds atol")
     # eigenvector v, indexed (k, i), gives the Kraus operator K[i, k] = sqrt(lam) v[(k, i)]

@@ -61,20 +61,25 @@ def _size(x, what: str, positive: bool = False) -> int:
     return int(x)
 
 
-def _as_numbers(x, what: str, real: bool = False) -> np.ndarray:
-    """x by one np.asarray and one cast to complex128, or float64 if real. Ragged
-    x raises DimensionMismatch, and a dtype other than integer, float or (unless
-    real) complex, such as str, bytes, bool or object, ValueError, naming what."""
+def _as_numbers(x, what: str, real: bool | None = False) -> np.ndarray:
+    """x by one np.asarray and one cast to complex128, or float64 if real (or if
+    real is None and x is not complex). Ragged x raises DimensionMismatch, and a
+    dtype other than integer, float or (unless real) complex, such as str, bytes,
+    bool or object, or one the cast would round (wider than float64 or
+    complex128), ValueError, naming what."""
     try:
         a = np.asarray(x)
     except ValueError as exc:  # numpy refuses nested sequences of unequal lengths
         raise DimensionMismatch(f"{what} must share one shape: {exc}") from exc
     if a.dtype.kind not in ("iuf" if real else "iufc"):
-        raise ValueError(f"{what} must hold only {'real ' * real}numbers, got dtype {a.dtype}")
+        raise ValueError(f"{what} must hold only {'real ' * bool(real)}numbers, got dtype {a.dtype}")
+    if a.itemsize > (16 if a.dtype.kind == "c" else 8):
+        raise ValueError(f"{what} must fit float64 or complex128, got dtype {a.dtype}")
+    real = real or (real is None and a.dtype.kind != "c")
     return a.astype(np.float64 if real else np.complex128, copy=False)
 
 
-def _numeric(x, what: str, real: bool = False) -> np.ndarray:
+def _numeric(x, what: str, real: bool | None = False) -> np.ndarray:
     """The intake rule for every array a caller passes in: :func:`_as_numbers`,
     then ValueError naming what on NaN or Inf. The result may be x itself."""
     a = _as_numbers(x, what, real)
@@ -90,9 +95,21 @@ def _row_norms(a) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
 
+def _is_unit(norms, tol: ToleranceConfig) -> np.ndarray:
+    """The one unit-norm rule: |norm - 1| <= atol for each norm, in its own units; NaN fails."""
+    return np.abs(norms - 1.0) <= tol.atol
+
+
+def _psd_kept(evals, tol: ToleranceConfig, scale: float = 1.0) -> np.ndarray:
+    """The one rank rule for a PSD matrix: its eigenvalues above atol * scale
+    count. The cut is in the matrix's own units (a Choi matrix, a block weight
+    W); scale ||v||^2 puts a block Gram V^dag V of any v in those of v/||v||."""
+    return evals > tol.atol * scale
+
+
 def _unit_rows(x, what: str, width: int, tol: ToleranceConfig) -> np.ndarray:
     """x as a complex (N >= 1, width) stack, a row per index of its first axis, each
-    of unit :func:`_row_norms` norm within atol (NaN or Inf raise NotUnitVector):
+    of unit :func:`_row_norms` norm by :func:`_is_unit` (NaN or Inf raise NotUnitVector):
     the one rule by which both privacy routes, is_trace_vector and PQCInstance, admit vectors."""
     rows = _as_numbers(x, what)
     if rows.ndim == 0 or len(rows) == 0:
@@ -101,7 +118,7 @@ def _unit_rows(x, what: str, width: int, tol: ToleranceConfig) -> np.ndarray:
     if rows.shape[1] != width:
         raise DimensionMismatch(f"{what} must have length {width}, got {rows.shape[1]}")
     norms = _row_norms(rows)
-    unit = np.abs(norms - 1.0) <= tol.atol  # False for a NaN norm
+    unit = _is_unit(norms, tol)
     if not unit.all():
         raise NotUnitVector(f"{what} must have norm 1 within atol, got {norms[~unit][0]}")
     return rows
@@ -150,20 +167,18 @@ def partial_trace(x, dim_left: int, dim_right: int, side: str) -> CMatrix:
 
 
 def nullspace_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical nullspace of ``m``.
-
-    Singular values below ``atol * max(s_max, 1)`` count as zero; the
-    floor at 1 keeps the cutoff meaningful for near-zero matrices.
-    Input without imaginary parts yields real basis vectors.
-    """
-    m = as_cmatrix(m)
+    """Orthonormal basis of the numerical nullspace of ``m``, by the one rank
+    rule for a linear map: singular values at or below atol * max(s_max, 1),
+    relative above scale 1 and absolute below it, count as zero. Real input
+    is kept real by the intake rule and yields real basis vectors."""
+    m = _numeric(m, "matrix", real=None)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size == 0:
         return []
-    _, s, vh = np.linalg.svd(m if m.imag.any() else m.real)
-    cutoff = tol.atol * max(float(s[0]), 1.0)
-    ncols = m.shape[1]
-    rank = int(np.sum(s > cutoff))
-    return [vh[i].conj() for i in range(rank, ncols)]
+    _, s, vh = np.linalg.svd(m)
+    rank = int(np.sum(s > tol.atol * max(float(s[0]), 1.0)))
+    return [vh[i].conj() for i in range(rank, m.shape[1])]
 
 
 def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

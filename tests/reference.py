@@ -339,13 +339,13 @@ def reference_trace_violation(v, alg, rho0):
 
 
 def reference_is_separating(v, alg, tol=DEFAULT_TOL):
-    """Full column rank of the stacked images (basis element) |v>, with the
-    cutoff atol * max(largest singular value, 1)."""
+    """Full column rank of the stacked images (basis element) |v>, counting
+    the singular values s with s^2 > atol ||v||^2: the squares are the
+    eigenvalues of the images' Gram matrix, in the units of v v^dag."""
     basis = np.array(canonical_basis(alg))
-    images = np.einsum("kij,j->ik", basis, np.asarray(v, dtype=np.complex128).reshape(-1))
-    s = np.linalg.svd(images, compute_uv=False)
-    cutoff = tol.atol * max(float(s[0]), 1.0)
-    return int(np.sum(s > cutoff)) == alg.num_basis
+    v = np.asarray(v, dtype=np.complex128).reshape(-1)
+    s = np.linalg.svd(np.einsum("kij,j->ik", basis, v), compute_uv=False)
+    return int(np.sum(s**2 > tol.atol * np.vdot(v, v).real)) == alg.num_basis
 
 
 def reference_trace_vector_wrt(alg, rho0, tol=DEFAULT_TOL):

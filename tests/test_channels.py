@@ -362,10 +362,30 @@ class TestChoi:
         assert not channels_equal(DEPHASING, depolarizing(1.0, 3))
         assert not channels_equal(DEPHASING, isometry_channel(2, 3, 1, np.random.default_rng(3)))
 
-    @pytest.mark.parametrize("j", [-np.eye(4), np.zeros((4, 4))], ids=["negative", "zero"])
+    @pytest.mark.parametrize("j", [np.zeros((4, 4))], ids=["zero"])
     def test_kraus_from_choi_with_no_eigenvalue_above_atol_is_not_trace_preserving(self, j):
         with pytest.raises(NotTracePreserving, match="no eigenvalue"):
             kraus_from_choi(j, 2, 2)
+
+    @pytest.mark.parametrize(
+        "shift, psd",
+        [
+            (-2 * np.eye(4), False),  # -1_4, no eigenvalue above atol either
+            (0.5 * (np.eye(4, k=1) - np.eye(4, k=-1)), False),  # anti-Hermitian part 1/2
+            (np.diag([-1e-6, 1e-6, 0, 0]), False),  # trace preserving, eigenvalue -5e-7
+            (np.diag([0, -5e-10, 0, 0]), True),  # eigenvalue -5e-10
+            (1e-10 * (np.eye(4, k=1) - np.eye(4, k=-1)), True),  # anti-Hermitian part 1e-10
+        ],
+        ids=["negative", "not-hermitian", "not-cp", "psd-within-atol", "hermitian-within-atol"],
+    )
+    def test_kraus_from_choi_admits_what_is_psd_and_refuses_the_rest(self, shift, psd):
+        j = choi(from_kraus([np.eye(2)])) + shift
+        assert is_psd(j) is psd
+        if psd:
+            assert channels_equal(kraus_from_choi(j, 2, 2), from_kraus([np.eye(2)]))
+        else:
+            with pytest.raises(ValueError, match="Choi matrix must be Hermitian PSD"):
+                kraus_from_choi(j, 2, 2)
 
     def test_kraus_from_choi_drops_null_directions(self):
         rebuilt = kraus_from_choi(choi(DEPHASING), 2, 2)

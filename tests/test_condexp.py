@@ -495,8 +495,8 @@ class TestLoopReferences:
             assert is_separating(v, alg) is reference_is_separating(v, alg)
         assert [is_separating(v, alg) for v in randoms] == [admits] * len(randoms)
         assert not is_separating(deficient, alg)
-        # the rank cutoff scales with the largest singular value of all blocks:
-        # block 0 at 1e6 hides the others at 1e-4
+        # the rank cutoff scales with ||v||^2: block 0 at 1e6 hides the others
+        # at 1e-4, whose squared singular values lie below atol ||v||^2
         w = u @ randoms[0]
         w[: blocks[0][0] * blocks[0][1]] *= 1e10
         lopsided = u.conj().T @ w * 1e-4

@@ -4,8 +4,9 @@ Every array-taking entry point converts its input by ``linalg._numeric``
 (or ``linalg._unit_rows`` for unit vectors): integer, float and, where
 allowed, complex entries only, one shape, and finite. So each entry point
 refuses a string, bytes, a bool, None, a complex entry where a real is
-required, a ragged nesting and NaN with its documented class, never with a
-TypeError, never with a warning, and never by returning.
+required, a long double wider than float64 or complex128, a ragged nesting
+and NaN with its documented class, never with a TypeError, never with a
+warning, and never by returning.
 """
 
 import copy
@@ -86,6 +87,10 @@ BAD = {
     "ragged": [0.0, 1.0],
     "nan": math.nan,
 }
+# a long double wider than float64 would be rounded by the cast (x86-64: 80 bits)
+if np.dtype(np.longdouble).itemsize > 8:
+    BAD["longdouble"] = np.longdouble(1) + np.longdouble(1e-18)
+    BAD["clongdouble"] = np.clongdouble(1) + np.longdouble(1e-18)
 
 
 def _fill(valid, bad):
@@ -138,6 +143,12 @@ def test_every_entry_point_refuses_what_is_not_an_array_of_finite_numbers(site, 
 
 def test_max_abs_diff_is_nan_for_nan_entries():
     assert math.isnan(max_abs_diff([[math.nan]], [[1.0]]))
+
+
+@pytest.mark.skipif(np.dtype(np.longdouble).itemsize <= 8, reason="long double is float64 here")
+def test_a_long_double_is_refused_not_rounded():
+    with pytest.raises(ValueError, match="kraus must fit float64 or complex128"):
+        Channel(np.full((1, 1, 1), np.longdouble(1) + np.longdouble(1e-18)))
 
 
 def test_object_arrays_are_refused_even_for_integers_beyond_int64():
