@@ -7,8 +7,8 @@ so regenerate them only when an intentional output change is made.
 
 With --check nothing is written: every input file and golden whose
 checked-in bytes differ from what would be written is listed, each with a
-line saying whether only numbers moved, and by how much at most, or the
-structure changed, and the exit code is 1 if there is any.
+line saying whether only numbers moved, and by how much at most, or where
+the structure first changed, and the exit code is 1 if there is any.
 """
 
 import argparse
@@ -51,24 +51,30 @@ def run() -> None:
         print(f"wrote {path}")
 
 
-def largest_delta(old, new):
-    """The largest |old - new| over the numbers of two parsed JSON values,
-    or None when they differ in anything but numbers: a key, a length, a
-    type, a string or a boolean."""
+def largest_delta(old, new, where=""):
+    """The largest |old - new| over the numbers of two parsed JSON values or,
+    when they differ in anything but numbers (a key, a length, a type, a
+    string or a boolean), a str naming the first path where they do: keys in
+    old's order, each value before the keys and length of its container."""
+    at = where or "top level"
     if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
         return abs(old - new)
     if type(old) is not type(new):
-        return None
+        return f"{at}: {type(old).__name__} became {type(new).__name__}"
     if isinstance(old, dict):
+        pairs = [(f"{where}.{k}" if where else k, old[k], new[k]) for k in old if k in new]
+        shape = [f"key {k} removed" for k in old if k not in new]
+        shape += [f"key {k} added" for k in new if k not in old]
         if list(old) != list(new):
-            return None
-        old, new = list(old.values()), list(new.values())
-    if not isinstance(old, list):
-        return 0.0 if old == new else None
-    if len(old) != len(new):
-        return None
-    deltas = [largest_delta(a, b) for a, b in zip(old, new)]
-    return None if None in deltas else max(deltas, default=0.0)
+            shape.append("keys reordered")
+    elif isinstance(old, list):
+        pairs = [(f"{where}[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new))]
+        shape = [f"length {len(old)} became {len(new)}"] if len(old) != len(new) else []
+    else:
+        return 0.0 if old == new else f"{at}: {old!r} became {new!r}"
+    deltas = [largest_delta(a, b, here) for here, a, b in pairs]
+    changed = [d for d in deltas if isinstance(d, str)] + [f"{at}: {s}" for s in shape]
+    return changed[0] if changed else max(deltas, default=0.0)
 
 
 def describe_drift(path: Path, text: str) -> str:
@@ -78,9 +84,9 @@ def describe_drift(path: Path, text: str) -> str:
     try:
         delta = largest_delta(json.loads(path.read_text(encoding="utf-8")), json.loads(text))
     except json.JSONDecodeError:
-        delta = None
-    if delta is None:
-        return "structure changed"
+        return "not JSON"
+    if isinstance(delta, str):
+        return f"structure changed at {delta}"
     return f"numbers only, largest |delta| {delta:.3g}"
 
 

@@ -99,15 +99,14 @@ class AxiomReport:
     E(a b) from P(E(a)) b) for every Kraus channel. The P makes maps whose
     output leaves the algebra fail here, and it is the identity on any
     algebra-valued map. Within atol it implies E(b1 a b2) = b1 P(E(a)) b2
-    for all basis pairs (see verify_condexp_axioms). positive: always
-    True, since every Channel is a Kraus stack and so completely positive.
+    for all basis pairs (see verify_condexp_axioms).
     trace_preserving: max trace deviation on matrix units.
-    passed: the three floats are within atol.
+    passed: the three floats are within atol. Positivity needs no check:
+    a Kraus stack's Choi matrix is PSD by construction.
     """
 
     fixes_subalgebra: float
     bimodule: float
-    positive: bool
     trace_preserving: float
     passed: bool
 
@@ -163,10 +162,9 @@ def verify_condexp_axioms(
     counterparts, in both directions.
 
     The subalgebra axiom is checked on the canonical basis and trace
-    preservation on all matrix units. Positivity is not measured: the Choi
+    preservation on all matrix units. Positivity needs no check: the Choi
     matrix sum_a vec(K_a) vec(K_a)^dag of a Kraus stack is PSD by
-    construction (Choi's theorem), so positive is always True and passed
-    is decided by the three residuals alone.
+    construction.
 
     The bimodule axiom E(b1 X b2) = b1 P(E(X)) b2 is checked on the left
     side only. With S the superoperator of E, P that of the projection onto
@@ -237,7 +235,7 @@ def verify_condexp_axioms(
     trace_pres = float(np.max(np.abs(np.einsum("xxkl->kl", s) - np.eye(d))))
 
     passed = fixes <= tol.atol and bimodule <= tol.atol and trace_pres <= tol.atol
-    return AxiomReport(fixes, bimodule, True, trace_pres, passed)
+    return AxiomReport(fixes, bimodule, trace_pres, passed)
 
 
 def is_pqc(inst: PQCInstance, tol: ToleranceConfig = DEFAULT_TOL) -> PqcReport:

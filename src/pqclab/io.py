@@ -209,7 +209,7 @@ def channel_to_spec(ch: Channel) -> dict:
 class RunReport:
     """Command outcome with stable field order, rendered as JSON or as text
     (layout in docs/file_formats.md). A report is only written for a
-    completed run, so both renderings end with exit code 0."""
+    completed run; the process exit status is the only exit code."""
 
     command: str
     tolerance: float
@@ -220,7 +220,6 @@ class RunReport:
             "command": self.command,
             "tolerance": self.tolerance,
             "result": self.result,
-            "exit_code": 0,
         }
         return json.dumps(doc, indent=2) + "\n"
 
@@ -241,5 +240,4 @@ class RunReport:
 
         for key, val in self.result.items():
             walk(val, "", key)
-        lines.append("exit_code: 0")
         return "\n".join(lines) + "\n"

@@ -61,18 +61,34 @@ def _size(x, what: str, positive: bool = False) -> int:
     return int(x)
 
 
+_PY_NUMBERS = frozenset((int, float, complex))
+
+
+def _has_bool(x) -> bool:
+    """Whether x is a bool or bool array, or nests one in lists and tuples. A
+    sequence of Python numbers alone is cleared by one pass over its types."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind == "b"
+    if isinstance(x, (list, tuple)):
+        return not _PY_NUMBERS.issuperset(map(type, x)) and any(map(_has_bool, x))
+    return isinstance(x, (bool, np.bool_))
+
+
 def _as_numbers(x, what: str, real: bool | None = False) -> np.ndarray:
     """x by one np.asarray and one cast to complex128, or float64 if real (or if
     real is None and x is not complex). Ragged x raises DimensionMismatch, and a
     dtype other than integer, float or (unless real) complex, such as str, bytes,
-    bool or object, or one the cast would round (wider than float64 or
-    complex128), ValueError, naming what."""
+    bool or object, a bool among numbers (which np.asarray would promote), or a
+    dtype the cast would round (wider than float64 or complex128), ValueError,
+    naming what."""
     try:
         a = np.asarray(x)
     except ValueError as exc:  # numpy refuses nested sequences of unequal lengths
         raise DimensionMismatch(f"{what} must share one shape: {exc}") from exc
     if a.dtype.kind not in ("iuf" if real else "iufc"):
         raise ValueError(f"{what} must hold only {'real ' * bool(real)}numbers, got dtype {a.dtype}")
+    if a is not x and _has_bool(x):  # an array's own dtype was read above
+        raise ValueError(f"{what} must hold only {'real ' * bool(real)}numbers, got a bool")
     if a.itemsize > (16 if a.dtype.kind == "c" else 8):
         raise ValueError(f"{what} must fit float64 or complex128, got dtype {a.dtype}")
     real = real or (real is None and a.dtype.kind != "c")

@@ -80,7 +80,6 @@ class TestClassify:
         assert code == 0
         doc = json.loads(out)
         assert doc["command"] == "classify"
-        assert doc["exit_code"] == 0
         assert doc["result"]["tag"] == "Empty"
         assert doc["result"]["T"] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
@@ -484,8 +483,8 @@ class TestPlumbing:
         assert code == 0
         lines = out.splitlines()
         assert lines[:2] == [f"command: {argv[0]}", "tolerance: 1e-09"]
-        assert lines[-1] == "exit_code: 0" and out.endswith("\n")
-        labels = [line.partition(":")[0] for line in lines[2:-1] if not line.startswith(" ")]
+        assert out.endswith("\n")
+        labels = [line.partition(":")[0] for line in lines[2:] if not line.startswith(" ")]
         _, out_json, _ = run_cli(capsys, *argv)
         assert labels == list(json.loads(out_json)["result"])
 
@@ -626,21 +625,48 @@ class TestRegenGoldensCheck:
         said = {lines[i]: lines[i + 1] for i, line in enumerate(lines) if line.startswith("drift")}
         assert said == {
             f"drift {moved}": "  numbers only, largest |delta| 3e-17",
-            f"drift {reshaped}": "  structure changed",
+            f"drift {reshaped}": "  structure changed at result: key extra removed",
             f"drift {tmp_path / 'classify_identity.json'}": "  missing",
         }
+
+    def test_names_the_first_path_where_the_structure_changed(
+        self, regen, tmp_path, monkeypatch, capsys
+    ):
+        # the goldens as they were written with an exit_code entry and AxiomReport.positive
+        expected = {}
+        for path in regen.golden_cases.GOLDEN_DIR.iterdir():
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            first = "top level: key exit_code removed"
+            if "axioms" in doc["result"]:
+                items = list(doc["result"]["axioms"].items())
+                doc["result"]["axioms"] = dict(items[:2] + [("positive", True)] + items[2:])
+                first = "result.axioms: key positive removed"
+            doc["exit_code"] = 0
+            (tmp_path / path.name).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+            expected[f"drift {tmp_path / path.name}"] = f"  structure changed at {first}"
+        monkeypatch.setattr(regen.golden_cases, "GOLDEN_DIR", tmp_path)
+
+        assert regen.check() == 1
+        lines = capsys.readouterr().out.splitlines()
+        said = {lines[i]: lines[i + 1] for i, line in enumerate(lines) if line.startswith("drift")}
+        assert said == expected
+        assert sum("positive" in line for line in said.values()) == 2
 
     @pytest.mark.parametrize(
         "old, new, delta",
         [
             ({"a": [1, 2.5]}, {"a": [1, 2.0]}, 0.5),
             ([0.0, [1e-17]], [0.0, [-1e-17]], 2e-17),
-            ({"a": 1, "b": 2}, {"b": 2, "a": 1}, None),
-            ([1, 2], [1, 2, 3], None),
-            ({"v": True}, {"v": False}, None),
-            ({"v": True}, {"v": 1}, None),
-            ({"s": "x"}, {"s": "y"}, None),
+            ({"a": 1, "b": 2}, {"b": 2, "a": 1}, "top level: keys reordered"),
+            ([1, 2], [1, 2, 3], "top level: length 2 became 3"),
+            ({"v": True}, {"v": False}, "v: True became False"),
+            ({"v": True}, {"v": 1}, "v: bool became int"),
+            ({"s": "x"}, {"s": "y"}, "s: 'x' became 'y'"),
             ({"n": None}, {"n": None}, 0.0),
+            ({"r": {"a": {"p": True, "f": 1.0}}}, {"r": {"a": {"f": 2.0}}}, "r.a: key p removed"),
+            ({"r": [{"x": 1}, {"x": 1}]}, {"r": [{"x": 1}, {"x": 1, "y": 2}]}, "r[1]: key y added"),
+            # the first change in old's order is named, a container's own keys last
+            ({"a": {"b": 1}, "c": 2}, {"a": {"b": "1"}}, "a.b: int became str"),
         ],
     )
     def test_largest_delta_reads_numbers_and_nothing_else(self, regen, old, new, delta):

@@ -50,7 +50,7 @@ from pqclab.errors import (
     NotUnitVector,
     Rho0NotInAlgebra,
 )
-from pqclab.linalg import DEFAULT_TOL, ToleranceConfig, max_abs_diff, partial_trace
+from pqclab.linalg import DEFAULT_TOL, ToleranceConfig, is_psd, max_abs_diff, partial_trace
 from pqclab.rand import (
     haar_unitary,
     random_block_algebra,
@@ -180,7 +180,6 @@ class TestAxioms:
         assert report.passed
         assert report.fixes_subalgebra <= 1e-9
         assert report.bimodule <= 1e-9
-        assert report.positive
         assert report.trace_preserving <= 1e-9
 
     def test_positivity_is_not_measured(self, monkeypatch):
@@ -194,11 +193,9 @@ class TestAxioms:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_factorization)
         assert verify_condexp_axioms(ch, alg).passed
 
-    def test_positive_below_rounding(self):
-        # this Choi matrix's smallest eigvalsh rounds to about -9e-17, below -atol
+    def test_an_atol_below_rounding_fails(self):
         alg = _haar_algebra(((2, 1), (1, 1)), 0, np.random.default_rng(1))
         report = verify_condexp_axioms(condexp_channel(alg), alg, ToleranceConfig(1e-17))
-        assert report.positive is True
         assert not report.passed  # the residuals are at the 1e-15 level
 
     def test_identity_channel_is_not_the_diagonal_expectation(self):
@@ -249,7 +246,7 @@ class TestAxioms:
         assert record.calls == {"_kraus_product": 1, "choi": 0, "superoperator": 0}
         mixed = convex_mix([1 - 1e-3, 1e-3], [ch, from_kraus([haar_unitary(32, rng)])])
         report = verify_condexp_axioms(mixed, alg)
-        assert report.positive and report.bimodule > 1e-6 and not report.passed
+        assert report.bimodule > 1e-6 and not report.passed
 
     def test_d32_diagonal_check_holds_no_copy_of_the_superoperator(self):
         # the Kraus product S' alone is d^4 complex entries, 16 MiB; a
@@ -411,7 +408,6 @@ class TestLoopReferences:
             want = reference_axioms(rotated, AlgebraSpec(target.blocks, target.zero_dim))
             computational = reference_axioms(ch, target)
             assert report.passed is want.passed is computational.passed is expected
-            assert report.positive is want.positive is computational.positive is True
             n = target.dim
             for name, factor in (
                 ("fixes_subalgebra", n),
@@ -421,6 +417,27 @@ class TestLoopReferences:
                 got, old = getattr(report, name), getattr(computational, name)
                 assert abs(got - getattr(want, name)) <= 1e-12, name
                 assert got <= factor * old + 1e-12 and old <= factor * got + 1e-12, name
+
+    @pytest.mark.parametrize("blocks", UNITAL_SHAPES + D32_AXIOM_SHAPES)
+    def test_every_channel_the_axiom_checks_take_has_a_psd_choi_matrix(self, blocks):
+        # verify_condexp_axioms leaves positivity to the Kraus form; this checks
+        # it on each kind of channel the axiom tests build, at d = 32 on the two
+        # that the d = 32 check takes
+        rng = np.random.default_rng(60 + sum(m * n * (i + 2) for i, (m, n) in enumerate(blocks)))
+        alg = _haar_algebra(blocks, 0, rng)
+        d, u = alg.dim, haar_unitary(alg.dim, rng)
+        e = condexp_channel(alg)
+        chs = [e, convex_mix([1 - 1e-3, 1e-3], [e, from_kraus([u])])]
+        if d < 32:
+            chs += [
+                from_kraus([np.eye(d)]),
+                random_unitary([0.5, 0.5], [np.eye(d), u]),
+                convex_mix([0.5, 0.5], [depolarizing(0.3, d), depolarizing(0.8, d)]),
+                isometry_channel(d, d, 3, rng),
+                random_ru_channel(d, 3, rng),
+            ]
+        for ch in chs:
+            assert is_psd(choi(ch))
 
     @given(
         blocks=st.lists(
@@ -530,7 +547,7 @@ class TestLoopReferences:
         record = _AxiomCheckRecord(monkeypatch)
         for ch in (condexp_channel(alg), convex_mix([0.5, 0.5], [depolarizing(0.5, 5)] * 2)):
             record.reset()
-            assert verify_condexp_axioms(ch, alg).positive
+            verify_condexp_axioms(ch, alg)
             assert record.calls == {"_kraus_product": 1, "choi": 0, "superoperator": 0}
 
     @staticmethod

@@ -3,10 +3,10 @@
 Every array-taking entry point converts its input by ``linalg._numeric``
 (or ``linalg._unit_rows`` for unit vectors): integer, float and, where
 allowed, complex entries only, one shape, and finite. So each entry point
-refuses a string, bytes, a bool, None, a complex entry where a real is
-required, a long double wider than float64 or complex128, a ragged nesting
-and NaN with its documented class, never with a TypeError, never with a
-warning, and never by returning.
+refuses a string, bytes, a bool (alone or among numbers), None, a complex
+entry where a real is required, a long double wider than float64 or
+complex128, a ragged nesting and NaN with its documented class, never with
+a TypeError, never with a warning, and never by returning.
 """
 
 import copy
@@ -94,10 +94,7 @@ if np.dtype(np.longdouble).itemsize > 8:
 
 
 def _fill(valid, bad):
-    """valid with its first entry replaced by bad. A bool turns every entry
-    into a bool instead: numpy reads a bool among floats as a float."""
-    if isinstance(bad, bool):
-        return np.array(valid, dtype=bool).tolist()
+    """valid with its first entry replaced by bad."""
     out = copy.deepcopy(valid)
     row = out
     while isinstance(row[0], list):
@@ -151,6 +148,25 @@ def test_a_long_double_is_refused_not_rounded():
         Channel(np.full((1, 1, 1), np.longdouble(1) + np.longdouble(1e-18)))
 
 
+@pytest.mark.parametrize(
+    "kraus",
+    [
+        [[[True, 0.0], [0.0, 1.0]]],
+        [[(0.0, 1.0), (np.bool_(True), 0.0)]],
+        [np.eye(2), np.eye(2, dtype=bool)],
+        [np.eye(2), [[1.0, 0.0], [0.0, False]]],
+    ],
+    ids=["python-bool", "numpy-bool-in-tuple", "bool-array", "bool-in-a-list-beside-an-array"],
+)
+def test_a_bool_among_numbers_is_refused_at_any_depth(kraus):
+    with pytest.raises(ValueError, match="kraus must hold only numbers, got a bool"):
+        Channel(kraus)
+
+
+def test_python_integers_among_floats_are_numbers():
+    assert np.array_equal(Channel([[[1, 0.0], [0, 1.0]]]).kraus, [np.eye(2)])
+
+
 def test_object_arrays_are_refused_even_for_integers_beyond_int64():
     with pytest.raises(ValueError, match="kraus must hold only numbers"):
         Channel([[[2**70]]])
@@ -192,6 +208,8 @@ class TestIntakeFuzz:
     @example("Channel", [[[b"0.5"]]])
     @example("Channel", [[[None]]])
     @example("Channel", [[[True]]])
+    @example("Channel", [[[True, 0.0], [0.0, 1.0]]])
+    @example("BlochVector", [True, 0.0, 0.0])
     @example("BlochVector", [1j, 0.0, 0.0])
     @example("PQCInstance", [["1", 0.0]])
     @example("AlgebraSpec", [["1", 0.0], [0.0, 1.0]])
@@ -206,7 +224,7 @@ class TestIntakeFuzz:
         leaves = list(_leaves(x))
         assert not any(isinstance(v, (str, bytes)) or v is None for v in leaves)
         assert all(np.isfinite(v) for v in leaves)
-        assert not all(isinstance(v, bool) for v in leaves)
+        assert not any(isinstance(v, bool) for v in leaves)
         held = next(getattr(built, f) for f in ("kraus", "mat", "states", "r", "basis_change")
                     if hasattr(built, f))
         assert held.dtype.kind in "fc" and np.isfinite(held).all()

@@ -302,8 +302,7 @@ class TestRunReport:
         text = report.to_json()
         assert text.endswith("\n")
         doc = json.loads(text)
-        assert list(doc.keys()) == ["command", "tolerance", "result", "exit_code"]
-        assert doc["exit_code"] == 0
+        assert list(doc.keys()) == ["command", "tolerance", "result"]
 
     def test_deterministic(self):
         report = RunReport("demo-frame", 1e-9, {"x": 1.25})
@@ -341,5 +340,4 @@ class TestRunReport:
             "  [1]:\n"
             "    k:\n"
             "      [0]: [0.5, 0.0]\n"
-            "exit_code: 0\n"
         )
