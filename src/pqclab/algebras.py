@@ -39,6 +39,7 @@ from .linalg import (
     DEFAULT_TOL,
     CMatrix,
     ToleranceConfig,
+    _is_unitary,
     _numeric,
     _psd_kept,
     _size,
@@ -103,7 +104,7 @@ class AlgebraSpec:
         u = np.eye(d, dtype=np.complex128) if self.basis_change is None else as_cmatrix(self.basis_change)
         if u.shape != (d, d):
             raise DimensionMismatch(f"basis change must be {d}x{d}, got {u.shape}")
-        if not max_abs_diff(u.conj().T @ u, np.eye(d)) <= self.tol.atol:  # NaN fails too
+        if not _is_unitary(u, self.tol):
             raise ValueError("basis change fails U^dag U = 1 within atol")
         object.__setattr__(self, "basis_change", freeze(u))
 
@@ -216,17 +217,10 @@ class TraceVectorReport:
     passed: bool
 
 
-def _as_state(rho0, dim: int, tol: ToleranceConfig) -> DensityOperator:
-    state = _as_density(rho0, tol)
-    if state.dim != dim:
-        raise DimensionMismatch(f"state dimension {state.dim} vs algebra dimension {dim}")
-    return state
-
-
 def _state_in_algebra(alg: AlgebraSpec, rho0, tol: ToleranceConfig) -> DensityOperator:
     """rho0 as a state on the algebra's space that is also one of its
     elements; raises Rho0NotInAlgebra otherwise."""
-    state = _as_state(rho0, alg.dim, tol)
+    state = _as_density(rho0, tol, alg.dim)
     if max_abs_diff(state.mat, project_onto_algebra(alg, state.mat)) > tol.atol:
         raise Rho0NotInAlgebra("state is not an element of the algebra within atol")
     return state
@@ -241,7 +235,7 @@ def is_trace_vector(v, alg: AlgebraSpec, rho0, tol: ToleranceConfig = DEFAULT_TO
     atol; rho0 = 1_n/n gives the plain trace-vector condition.
     """
     v = _unit_rows([v], "vector", alg.dim, tol)[0]  # v as the one row
-    state = _as_state(rho0, alg.dim, tol)
+    state = _as_density(rho0, tol, alg.dim)
     u = alg.basis_change
     w, rho_t = u @ v, (u @ state.mat @ u.conj().T).T
     violation = 0.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, DensityOperator, _apply
+from .channels import Channel, DensityOperator, _apply, _as_density
 from .errors import BlochVectorTooLong, DimensionMismatch, NotUnital
 from .linalg import (
     DEFAULT_TOL,
@@ -31,9 +31,7 @@ from .linalg import (
     _numeric,
     _row_norms,
     _size,
-    as_cmatrix,
     freeze,
-    is_hermitian,
     nullspace_basis,
 )
 
@@ -163,16 +161,10 @@ class AllStates(PrivateStateSet):
 
 
 def density_to_bloch(rho, tol: ToleranceConfig = DEFAULT_TOL) -> BlochVector:
-    """Bloch vector r_k = trace(rho sigma_k) of a 2x2 density operator.
-
-    A raw matrix must be Hermitian within atol, since only then are the
-    traces real; a DensityOperator was validated when it was built.
-    """
-    m = rho.mat if isinstance(rho, DensityOperator) else as_cmatrix(rho)
-    if m.shape != (2, 2):
-        raise DimensionMismatch(f"expected a 2x2 state, got {m.shape}")
-    if not is_hermitian(m, tol):
-        raise ValueError("matrix must be Hermitian within atol")
+    """Bloch vector r_k = trace(rho sigma_k) of a qubit state, a
+    DensityOperator or a raw 2x2 matrix validated as one at tol, so r lies in
+    the Bloch ball; DimensionMismatch for another dimension."""
+    m = _as_density(rho, tol, 2).mat
     return BlochVector(np.array([np.trace(m @ s).real for s in PAULIS]))
 
 
@@ -189,10 +181,7 @@ def bloch_to_density(r, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
 def _kets(rs: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Kets of the rows of an (N, 3) array of unit Bloch vectors, one per
     row, phases fixed by a real first amplitude."""
-    # row-wise dot products, np.linalg.norm's sum for one vector, so a row gets the
-    # same bits in a batch as alone; not _row_norms, which moves the last bit of 97
-    # of 1,000 norms on a great circle, and so thetas that classify's samples print
-    norms = np.sqrt((rs[:, None, :] @ rs[:, :, None]).reshape(-1))
+    norms = _row_norms(rs)
     if not _is_unit(norms, tol).all():
         raise ValueError("Bloch vectors of pure states must have unit norm within atol")
     theta = np.arccos(np.clip(rs[:, 2] / norms, -1.0, 1.0))

@@ -25,6 +25,7 @@ from .linalg import (
     CMatrix,
     ToleranceConfig,
     _is_real,
+    _is_unitary,
     _numeric,
     _psd_kept,
     _size,
@@ -164,20 +165,16 @@ def from_kraus(kraus, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
 
 
 def random_unitary(probs, unitaries, tol: ToleranceConfig = DEFAULT_TOL) -> Channel:
-    """Convex mixture of unitary conjugations, Kraus operators sqrt(p_i) U_i."""
-    p = _numeric(probs, "probs", real=True)
+    """Convex mixture of unitary conjugations, Kraus operators sqrt(p_i) U_i:
+    :func:`convex_mix` of the channels U_i, which must be square, of one shape
+    (else DimensionMismatch) and unitary by linalg._is_unitary (else NotUnitary)."""
     us = [as_cmatrix(u) for u in unitaries]
-    if p.ndim != 1 or len(us) != p.size:
-        raise DimensionMismatch(f"{p.size} probabilities vs {len(us)} unitaries")
-    if p.size == 0 or np.any(p < -tol.atol) or abs(p.sum() - 1.0) > tol.atol:
-        raise NotAProbabilityDistribution(f"weights {probs} are not a probability distribution")
-    d = us[0].shape[0]
     for u in us:
-        if u.shape != (d, d):
+        if u.shape != us[0].shape or u.shape[0] != u.shape[1]:
             raise DimensionMismatch(f"unitaries must share a square shape, got {u.shape}")
-        if max_abs_diff(u.conj().T @ u, np.eye(d)) > tol.atol:
+        if not _is_unitary(u, tol):
             raise NotUnitary("matrix fails U^dag U = 1 within atol")
-    return from_kraus(np.sqrt(np.clip(p, 0.0, None))[:, None, None] * np.stack(us), tol)
+    return convex_mix(probs, [Channel(u[None]) for u in us], tol)
 
 
 def depolarizing(p: float, d: int) -> Channel:
@@ -216,17 +213,20 @@ def convex_mix(weights, channels, tol: ToleranceConfig = DEFAULT_TOL) -> Channel
     return from_kraus(np.concatenate(ks), tol)
 
 
-def _as_density(rho, tol: ToleranceConfig) -> DensityOperator:
-    """rho if it is a DensityOperator, else the raw matrix validated as one at tol."""
-    return rho if isinstance(rho, DensityOperator) else DensityOperator(rho, tol)
+def _as_density(rho, tol: ToleranceConfig, dim: int, what: str = "state") -> DensityOperator:
+    """The one rule for a state argument: rho if it is a DensityOperator, else
+    the raw matrix validated as one at tol; DimensionMismatch, naming what,
+    unless its dimension is dim."""
+    state = rho if isinstance(rho, DensityOperator) else DensityOperator(rho, tol)
+    if state.dim != dim:
+        raise DimensionMismatch(f"{what} dimension {state.dim}, expected {dim}")
+    return state
 
 
 def apply(ch: Channel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> DensityOperator:
     """Apply the channel to a state, a DensityOperator or a raw matrix
     validated as one at tol; the output is validated as a state."""
-    rho = _as_density(rho, tol)
-    if rho.dim != ch.dim_in:
-        raise DimensionMismatch(f"state dimension {rho.dim} vs channel input {ch.dim_in}")
+    rho = _as_density(rho, tol, ch.dim_in)
     return DensityOperator(ch.apply_matrix(rho.mat), tol)
 
 

@@ -71,11 +71,7 @@ class PQCInstance:
     def __post_init__(self):
         states = _unit_rows(self.states, "states", self.channel.dim_in, self.tol)
         states = states if isinstance(self.states, (list, tuple)) else states.copy()
-        rho0 = _as_density(self.rho0, self.tol)
-        if rho0.dim != self.channel.dim_out:
-            raise DimensionMismatch(
-                f"target dimension {rho0.dim} vs channel output {self.channel.dim_out}"
-            )
+        rho0 = _as_density(self.rho0, self.tol, self.channel.dim_out, "target")
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "rho0", rho0)

@@ -104,9 +104,13 @@ def _numeric(x, what: str, real: bool | None = False) -> np.ndarray:
     return a
 
 
-def _row_norms(a) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D complex array, summed over its float64
-    view (re_0, im_0, re_1, ...): a row gets the same bits in a stack as alone."""
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D float64 or complex128 array; a row
+    gets the same bits in a stack as alone. A float64 row is read as it is, by
+    one stacked dot product per row, np.linalg.norm's sum for one vector; a
+    complex row is summed over its float64 view (re_0, im_0, re_1, ...)."""
+    if a.dtype == np.float64:
+        return np.sqrt((a[:, None, :] @ a[:, :, None]).reshape(-1))
     parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", parts, parts))
 
@@ -197,13 +201,6 @@ def nullspace_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     return [vh[i].conj() for i in range(rank, m.shape[1])]
 
 
-def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    m = as_cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return max_abs_diff(m, m.conj().T) <= tol.atol
-
-
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff ``m`` is Hermitian within atol and the smallest ``eigvalsh``
     of its Hermitian part m/2 + m^dag/2 is >= -atol; a 0 x 0 matrix is PSD."""
@@ -215,6 +212,15 @@ def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         return False
     evals = np.linalg.eigvalsh(m / 2 + adj / 2)  # halved first, so finite for finite m
     return bool(evals.min() >= -tol.atol) if evals.size else True
+
+
+def _is_unitary(u: np.ndarray, tol: ToleranceConfig) -> bool:
+    """The one unitarity rule: U^dag U = 1 within atol for a square complex u.
+    The product runs with numpy's floating-point warnings off, so entries too
+    large for it give inf or NaN, which fail like a NaN entry, and warn nothing."""
+    with np.errstate(all="ignore"):
+        err = max_abs_diff(u.conj().T @ u, np.eye(len(u)))
+    return err <= tol.atol
 
 
 def max_abs_diff(a, b) -> float:

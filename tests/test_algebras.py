@@ -94,6 +94,9 @@ class TestSpecValidation:
     def test_rejects_non_unitary_basis_change(self):
         with pytest.raises(ValueError):
             AlgebraSpec(((1, 2),), 0, np.ones((2, 2)))
+        # U^dag U overflows: it fails without a numpy warning
+        with pytest.raises(ValueError, match="basis change fails"):
+            AlgebraSpec(((1, 2),), 0, [[1e200, 1e200], [1e200, -1e200]])
 
     def test_rejects_wrong_size_basis_change(self):
         with pytest.raises(DimensionMismatch):

@@ -106,6 +106,15 @@ class TestCoordinates:
         assert np.allclose(density_to_bloch(DensityOperator(np.eye(2) / 2)).r, 0.0)
 
     @pytest.mark.parametrize(
+        "rho", [np.diag([2.0, -1.0]), np.diag([2.0, 0.0]), np.diag([0.5, 0.4])],
+        ids=["indefinite", "trace-2", "trace-0.9"],
+    )
+    def test_density_to_bloch_refuses_a_hermitian_matrix_that_is_not_a_state(self, rho):
+        # r would lie outside the Bloch ball that bloch_to_density enforces
+        with pytest.raises(ValueError, match="density matrix"):
+            density_to_bloch(rho)
+
+    @pytest.mark.parametrize(
         "r", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.0, 1.0 + 1e-7], [0.6, 0.8, 0.1]]
     )
     def test_ket_needs_a_unit_vector(self, r):

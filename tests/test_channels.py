@@ -93,6 +93,35 @@ class TestConstruction:
     def test_random_unitary_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             random_unitary([1.0], [np.array([[1, 1], [0, 1]], dtype=complex)])
+        # U^dag U overflows: it fails without a numpy warning
+        with pytest.raises(NotUnitary):
+            random_unitary([1.0], [[[1e200, 1e200], [1e200, -1e200]]])
+
+    @pytest.mark.parametrize(
+        "probs, unitaries, error",
+        [
+            ([0.5, 0.5], [np.eye(2)], DimensionMismatch),
+            ([[1.0]], [np.eye(2)], DimensionMismatch),
+            ([], [], NotAProbabilityDistribution),
+            ([1.0, 0.0], [SX, 2 * SX], NotUnitary),
+        ],
+        ids=["count", "probs-not-1-d", "empty", "zero-weight-non-unitary"],
+    )
+    def test_random_unitary_keeps_its_error_classes(self, probs, unitaries, error):
+        with pytest.raises(error):
+            random_unitary(probs, unitaries)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_random_unitary_stack_is_the_square_root_weighted_unitaries(self, k, d, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(k))
+        if k > 1:  # a zero weight, so its operator is all zeros
+            p[rng.integers(k)] = 0.0
+            p /= p.sum()
+        us = [haar_unitary(d, rng) for _ in range(k)]
+        expected = np.sqrt(p)[:, None, None] * np.stack(us)
+        assert random_unitary(p, us).kraus.tobytes() == expected.tobytes()
 
     def test_depolarizing_rejects_bad_noise(self):
         with pytest.raises(ValueError):

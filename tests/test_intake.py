@@ -28,7 +28,9 @@ from pqclab import (
     PauliTransfer,
     PQCInstance,
     apply,
+    bloch_to_ket,
     convex_mix,
+    density_to_bloch,
     diagonal_algebra,
     from_kraus,
     is_psd,
@@ -75,7 +77,10 @@ SITES = {
     "random_unitary.probs": (
         [1.0, 0.0], lambda p: random_unitary(p, [np.eye(2), np.eye(2)]), True, False
     ),
+    "random_unitary.unitaries": (EYE2, lambda u: random_unitary([1.0], [u]), False, False),
     "convex_mix.weights": ([1.0, 0.0], lambda w: convex_mix(w, [E2, E2]), True, False),
+    "density_to_bloch": (PURE, density_to_bloch, False, False),
+    "bloch_to_ket": ([0.0, 0.0, 1.0], bloch_to_ket, True, False),
 }
 
 BAD = {
@@ -190,6 +195,9 @@ BUILDERS = {
     "PQCInstance": lambda x: PQCInstance(x, E2, HALF),
     "BlochVector": BlochVector,
     "AlgebraSpec": lambda x: AlgebraSpec(((1, 1), (1, 1)), 0, x),
+    "random_unitary": lambda x: random_unitary([1.0], [x]),
+    "density_to_bloch": density_to_bloch,
+    "bloch_to_ket": bloch_to_ket,
 }
 
 
@@ -225,6 +233,8 @@ class TestIntakeFuzz:
         assert not any(isinstance(v, (str, bytes)) or v is None for v in leaves)
         assert all(np.isfinite(v) for v in leaves)
         assert not any(isinstance(v, bool) for v in leaves)
-        held = next(getattr(built, f) for f in ("kraus", "mat", "states", "r", "basis_change")
-                    if hasattr(built, f))
+        held = built if isinstance(built, np.ndarray) else next(
+            getattr(built, f) for f in ("kraus", "mat", "states", "r", "basis_change")
+            if hasattr(built, f)
+        )
         assert held.dtype.kind in "fc" and np.isfinite(held).all()

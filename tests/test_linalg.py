@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,9 +10,9 @@ from pqclab.errors import DimensionMismatch
 from pqclab.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _is_unitary,
     _row_norms,
     as_cmatrix,
-    is_hermitian,
     is_psd,
     max_abs_diff,
     nullspace_basis,
@@ -147,7 +150,6 @@ class TestNullspace:
 
 class TestHermitianPsd:
     def test_pauli_matrices(self):
-        assert is_hermitian(SX) and is_hermitian(SY) and is_hermitian(SZ)
         assert is_psd(np.eye(2))
         assert not is_psd(SZ)
 
@@ -162,10 +164,6 @@ class TestHermitianPsd:
         assert is_psd(np.array([[1.0, 5e-10], [0.0, 1.0]]))
         assert not is_psd(np.array([[1.0, 2e-9], [0.0, 1.0]]))
         assert not is_psd(np.array([[1.0, 1j], [1j, 1.0]]))
-
-    def test_non_square_is_not_hermitian(self):
-        assert not is_hermitian(np.ones((2, 3)))
-        assert not is_hermitian(np.zeros((3, 1)))
 
     def test_entries_near_the_float_max_keep_their_verdict(self):
         # the Hermitian part is taken without overflow, so no warning and no NaN
@@ -294,8 +292,47 @@ class TestValidation:
         assert np.array_equal(_row_norms(a[::2]), norms[::2])
         assert np.allclose(norms, np.linalg.norm(a, axis=1), rtol=1e-14, atol=0)
 
+    def test_row_norms_of_real_rows_are_np_linalg_norm_without_a_complex_copy(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((1000, 3))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        _row_norms(a)  # numpy's one-off set-up stays out of the traced peak
+        tracemalloc.start()
+        try:
+            norms = _row_norms(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.size * np.dtype(np.complex128).itemsize  # the size of a complex copy
+        assert norms.tobytes() == np.array([np.linalg.norm(r) for r in a]).tobytes()
+        assert np.array_equal(_row_norms(a[::3]), norms[::3])
+
     def test_as_cmatrix_rejects_wrong_ndim(self):
         from pqclab.errors import DimensionMismatch
 
         with pytest.raises(DimensionMismatch):
             as_cmatrix(np.zeros(4))
+
+
+class TestIsUnitary:
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_haar_unitaries_pass_and_a_scaled_one_fails(self, d):
+        u = haar_unitary(d, np.random.default_rng(d))
+        assert _is_unitary(u, DEFAULT_TOL)
+        assert not _is_unitary((1 + 1e-6) * u, DEFAULT_TOL)
+        assert _is_unitary((1 + 1e-6) * u, ToleranceConfig(1e-5))
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            [[1e200, 1e200], [1e200, -1e200]],
+            [[1e308, 0.0], [0.0, 1.0]],
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+        ],
+        ids=["overflowing-product", "float-max", "nan", "inf"],
+    )
+    def test_entries_the_product_cannot_hold_fail_without_a_warning(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _is_unitary(np.array(u, dtype=np.complex128), ToleranceConfig(1e300))
