@@ -2,12 +2,12 @@
 """Alternating parent/change pairs of the benchmark, summarized per metric.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload qubit_privacy \\
-        --pairs 10 --seed 101 [--seconds 20]
+        --pairs 10 --seed 101
 
 PARENT_DIR and CHANGE_DIR are two checkouts, each with its own ``bench/``
 and ``src/``. Pair i runs the benchmark command of ``BENCHMARK.json`` from
-both at seed S + i, the parent first in even pairs and the change first in
-odd ones. For each end-to-end metric of ``BENCHMARK.json`` the summary gives
+both at seed S + i for the ``run_seconds`` of ``BENCHMARK.json``, the
+parent first in even pairs and the change first in odd ones. For each end-to-end metric of ``BENCHMARK.json`` the summary gives
 the parent's median with its quartiles, the change's median, their ratio,
 the number of pairs the change won by the metric's ``better``, and
 ``unresolved`` where the parent's IQR exceeds the metric's bound as a share
@@ -71,7 +71,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
@@ -84,7 +83,8 @@ def main(argv=None) -> int:
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {}
         for side in order:
-            got[side] = run_once(sides[side], spec["command"], args.workload, seed, args.seconds)
+            got[side] = run_once(sides[side], spec["command"], args.workload, seed,
+                                 spec["run_seconds"])
             if got[side] is not None:
                 values = " ".join(f"{m['name']}={got[side][m['name']]:.4g}"
                                   for m in spec["end_to_end"])
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
             pairs.append((got["parent"], got["change"]))
 
     print(f"workload: {args.workload}  pairs: {len(pairs)} of {args.pairs}  "
-          f"seeds: {args.seed}-{args.seed + args.pairs - 1}  seconds: {args.seconds:g}")
+          f"seeds: {args.seed}-{args.seed + args.pairs - 1}  seconds: {spec['run_seconds']:g}")
     if len(pairs) >= 2:
         print("\n".join(summarize(pairs, spec["end_to_end"])))
     return 1 if failed else 0

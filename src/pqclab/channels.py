@@ -204,7 +204,7 @@ def convex_mix(weights, channels, tol: ToleranceConfig = DEFAULT_TOL) -> Channel
     w = _numeric(weights, "weights", real=True)
     chans = list(channels)
     if w.ndim != 1 or w.size != len(chans):
-        raise DimensionMismatch(f"{w.size} weights vs {len(chans)} channels")
+        raise DimensionMismatch(f"{w.size} weights for {len(chans)} terms of the mixture")
     if np.any(w < -tol.atol) or abs(w.sum() - 1.0) > tol.atol:
         raise NotAProbabilityDistribution(f"weights {weights} are not a probability distribution")
     if len({ch.kraus.shape[1:] for ch in chans}) != 1:

@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py: its summary on fixed numbers, its pairing and its exit status."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -45,14 +46,16 @@ def test_pairs_alternate_their_order_with_one_seed_each(pairs_script, monkeypatc
     calls = []
 
     def fake_run(checkout, command, workload, seed, seconds):
-        calls.append((checkout.name, seed))
+        calls.append((checkout.name, seed, seconds))
         return RUN
 
     monkeypatch.setattr(pairs_script, "run_once", fake_run)
     argv = ["/p/parent", "/c/change", "--workload", "qubit_privacy", "--pairs", "3", "--seed", "7"]
     assert pairs_script.main(argv) == 0
-    assert calls == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
-                     ("parent", 9), ("change", 9)]
+    # every run lasts the benchmark's own run_seconds
+    seconds = json.loads(pairs_script.BENCHMARK.read_text(encoding="utf-8"))["run_seconds"]
+    assert calls == [(side, seed, seconds) for side, seed in [
+        ("parent", 7), ("change", 7), ("change", 8), ("parent", 8), ("parent", 9), ("change", 9)]]
     out = capsys.readouterr().out
     assert "pairs: 3 of 3  seeds: 7-9" in out
     assert "ops_per_s: parent 100 [100-100] -> change 100 (x1.000), change better in 0 of 3" in out

@@ -110,7 +110,7 @@ class TestCoordinates:
         ids=["indefinite", "trace-2", "trace-0.9"],
     )
     def test_density_to_bloch_refuses_a_hermitian_matrix_that_is_not_a_state(self, rho):
-        # r would lie outside the Bloch ball that bloch_to_density enforces
+        # none of these is a state: r would be outside the ball or the trace is not 1
         with pytest.raises(ValueError, match="density matrix"):
             density_to_bloch(rho)
 
